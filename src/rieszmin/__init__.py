@@ -35,7 +35,6 @@ from .kernels import (
     TruncatedKernel,
     check_assumptions,
     kernel_from_config,
-    kernel_to_config,
     local_avg_integral,
 )
 from .measures import (

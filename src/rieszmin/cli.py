@@ -98,7 +98,7 @@ def _measure(config, base_dir, key="measure", required=True):
     return measure_from_config(config[key], base_dir)
 
 
-def _minimize_settings(config, seed, kernel=None, base_dir=".") -> MinimizeSettings:
+def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     block = dict(config.get("minimize", {}))
     init_block = dict(block.get("init", {}))
     kind = init_block.get("kind", "random-gaussian")
@@ -199,7 +199,7 @@ def _cmd_minimize(args) -> int:
         raise UsageError("config is missing 'n'")
     n = int(config["n"])
     dim = int(config.get("dim", kernel.dim))
-    settings = _minimize_settings(config, seed, kernel, base_dir)
+    settings = _minimize_settings(config, seed, base_dir)
     result = minimize(kernel, n, dim, settings)
     save_configuration_csv(result.config, os.path.join(out_dir, "minimized.csv"))
     dump_report(result.as_dict(), os.path.join(out_dir, "minimize.json"))
@@ -225,7 +225,7 @@ def _cmd_trace(args) -> int:
     if not n_list:
         raise UsageError("config must provide a nonempty 'n_list'")
     block = dict(config.get("trace", {}))
-    settings = _minimize_settings(config, seed, kernel, base_dir)
+    settings = _minimize_settings(config, seed, base_dir)
     trace = gamma_trace(
         kernel, measure, [int(n) for n in n_list],
         with_minimization=bool(block.get("with_minimization", False)),

@@ -17,9 +17,10 @@ import numpy as np
 
 from .energy import (
     Configuration,
+    _canonical_order,
+    _pair_pass,
     continuum_energy_mc,
     discrete_energy,
-    pair_distance_stats,
     potential_grid,
 )
 from .errors import ValidationError
@@ -27,8 +28,6 @@ from .kernels import Kernel
 from .measures import TargetMeasure
 from .minimizer import InitSpec, MinimizeSettings, minimize
 from .quantizer import quantize
-
-_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -71,29 +70,23 @@ def el_residual(cfg: Configuration, kernel: Kernel,
                 probes: Optional[ProbeScheme] = None) -> ELReport:
     """Per-particle self-excluded potentials and their spread.
 
-    Their mean equals the discrete energy exactly; at a minimizer the
-    spread shrinks as the discrete first-order conditions equalize the
-    potentials.  Probe points on spheres around the cloud report the
-    smallest exterior gap potential(probe) - energy.
+    They come from the same canonical-order pass as the discrete energy, so
+    their mean equals discrete_energy(cfg, kernel).value bit for bit; at a
+    minimizer the spread shrinks as the discrete first-order conditions
+    equalize the potentials.  Probe points on spheres around the cloud
+    report the smallest exterior gap potential(probe) - energy.
     """
     probes = probes or ProbeScheme()
     if kernel.dim != cfg.dim:
         raise ValidationError("kernel and configuration dimensions differ")
     pts = cfg.points
     n = cfg.n
-    psi = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        chunk = pts[start:start + _BLOCK]
-        d = np.linalg.norm(chunk[:, None, :] - pts[None, :, :], axis=2)
-        rows = np.arange(len(chunk))
-        cols = np.arange(start, start + len(chunk))
-        d[rows, cols] = 1.0
-        vals = np.asarray(kernel.radial(d), dtype=float)
-        vals[rows, cols] = 0.0
-        psi[start:start + len(chunk)] = vals.sum(axis=1)
-    psi /= n
-    mean = float(psi.mean())
-    spread = float(psi.max() - psi.min()) if n > 0 else 0.0
+    order = _canonical_order(pts)
+    canonical = pts[order]
+    row_sums, _, _ = _pair_pass(canonical, canonical, kernel, order)
+    mean = float(row_sums.sum()) / n**2  # discrete_energy's own arithmetic
+    psi = (row_sums / n)[np.argsort(order)]
+    spread = float(psi.max() - psi.min())
 
     center = pts.mean(axis=0)
     radius = float(np.linalg.norm(pts - center, axis=1).max())
@@ -306,7 +299,7 @@ def bl_distance(a, b, scheme: Optional[BLScheme] = None) -> float:
 
 def support_diameter(cfg: Configuration) -> float:
     """Largest pairwise distance (0 for a single point)."""
-    _, hi = pair_distance_stats(cfg.points)
+    _, _, hi = _pair_pass(cfg.points, cfg.points, extent=True)
     return hi
 
 

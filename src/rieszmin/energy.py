@@ -1,10 +1,11 @@
 """Discrete pair energies, cross/partial energies, potentials, and the
 Monte-Carlo continuum energy.
 
-All pair sums run in a canonical point order (lexicographic sort of the
-coordinates) with a fixed blocked reduction, so results are bit-identical
-under permutation of the input points and independent of how the work is
-scheduled.  Desk scale (n up to ~10^4) keeps the O(n^2) sums practical.
+Every pair sum goes through one blocked pass, _pair_pass.  Sums over a
+family run in its canonical point order (lexicographic sort of the
+coordinates), so results are bit-identical under permutation of the input
+points and independent of how the work is scheduled.  Desk scale (n up to
+~10^4) keeps the O(n^2) sums practical.
 """
 
 from __future__ import annotations
@@ -107,21 +108,54 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def pair_distance_stats(points: np.ndarray) -> Tuple[float, float]:
-    """(min, max) off-diagonal pair distance; (inf, 0) for fewer than 2 points."""
-    n = len(points)
-    if n < 2:
-        return math.inf, 0.0
+def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = None,
+               order: Optional[np.ndarray] = None, grad: bool = False,
+               extent: bool = False):
+    """The one blocked pass over point pairs (rows[i], cols[j]).
+
+    Each (B, len(cols)) distance block is computed once, and only the
+    reductions asked for are taken from it: with a kernel, the per-row sums
+    of g(|r_i - c_j|), or with grad=True the per-row sums of
+    g'(d)/d (r_i - c_j); with extent=True the min and max distance.  A given
+    ``order`` says rows and cols are both points[order], one family in
+    canonical order: the pairs i == j are skipped, and coincident points
+    met by the gradient are named by their indices in points.
+
+    Returns (per-row values or None, min distance, max distance).
+    """
+    values = None if kernel is None else np.empty(rows.shape if grad else len(rows))
     lo, hi = math.inf, 0.0
-    for start in range(0, n, _BLOCK):
-        chunk = points[start:start + _BLOCK]
-        d = np.linalg.norm(chunk[:, None, :] - points[None, :, :], axis=2)
-        rows = np.arange(start, start + len(chunk))
-        d[np.arange(len(chunk)), rows] = math.inf
-        lo = min(lo, float(d.min()))
-        d[np.arange(len(chunk)), rows] = 0.0
-        hi = max(hi, float(d.max()))
-    return lo, hi
+    for start in range(0, len(rows), _BLOCK):
+        chunk = rows[start:start + _BLOCK]
+        diffs = chunk[:, None, :] - cols[None, :, :]
+        d = np.linalg.norm(diffs, axis=2)
+        if not grad:
+            del diffs  # free the (B, n, dim) block before the kernel allocates its own
+        # the skipped pairs i == j of this block; none for two families
+        k = np.arange(len(chunk) if order is not None else 0)
+        eye = (k, start + k)
+        if extent:
+            hi = max(hi, float(d.max()))  # a skipped pair sits at distance 0
+            d[eye] = math.inf
+            lo = min(lo, float(d.min()))
+        if kernel is None:
+            continue
+        d[eye] = 1.0  # any finite placeholder; its term is zeroed below
+        if grad:
+            if np.any(d == 0.0):
+                i, j = np.argwhere(d == 0.0)[0]
+                raise GradientUndefinedError(
+                    f"coincident points {order[start + i]} and {order[j]}: "
+                    "gradient undefined at zero separation"
+                )
+            w = np.asarray(kernel.radial_prime(d), dtype=float) / d
+            w[eye] = 0.0
+            values[start:start + len(chunk)] = np.einsum("ij,ijk->ik", w, diffs)
+        else:
+            vals = np.asarray(kernel.radial(d), dtype=float)
+            vals[eye] = 0.0
+            values[start:start + len(chunk)] = vals.sum(axis=1)
+    return values, lo, hi
 
 
 def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:
@@ -130,24 +164,9 @@ def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, flo
     Returns (sum, min distance, max distance).  The sum is +inf when a pair
     hits a +inf kernel value.
     """
-    n = len(points)
-    if n < 2:
-        return 0.0, math.inf, 0.0
-    pts = points[_canonical_order(points)]
-    row_sums = np.empty(n)
-    lo, hi = math.inf, 0.0
-    for start in range(0, n, _BLOCK):
-        chunk = pts[start:start + _BLOCK]
-        d = np.linalg.norm(chunk[:, None, :] - pts[None, :, :], axis=2)
-        rows = np.arange(len(chunk))
-        cols = np.arange(start, start + len(chunk))
-        d[rows, cols] = math.inf
-        lo = min(lo, float(d.min()))
-        d[rows, cols] = 0.0
-        hi = max(hi, float(d.max()))
-        vals = np.asarray(kernel.radial(d), dtype=float)
-        vals[rows, cols] = 0.0
-        row_sums[start:start + len(chunk)] = vals.sum(axis=1)
+    order = _canonical_order(points)
+    pts = points[order]
+    row_sums, lo, hi = _pair_pass(pts, pts, kernel, order, extent=True)
     return float(row_sums.sum()), lo, hi
 
 
@@ -170,16 +189,10 @@ def cross_energy(a: SubConfiguration, b: SubConfiguration, kernel: Kernel) -> fl
     if a.dim != b.dim:
         raise ValidationError("cross energy needs matching dimensions")
     _check_kernel_dim(kernel, a.dim)
-    if a.n1 == 0 or b.n1 == 0:
-        return 0.0
     pa = a.points[_canonical_order(a.points)]
     pb = b.points[_canonical_order(b.points)]
-    total = 0.0
-    for start in range(0, len(pa), _BLOCK):
-        chunk = pa[start:start + _BLOCK]
-        d = np.linalg.norm(chunk[:, None, :] - pb[None, :, :], axis=2)
-        total += float(np.asarray(kernel.radial(d), dtype=float).sum())
-    return total / a.denominator**2
+    row_sums, _, _ = _pair_pass(pa, pb, kernel)
+    return float(row_sums.sum()) / a.denominator**2
 
 
 def partial_energy(a: SubConfiguration, kernel: Kernel) -> float:
@@ -189,8 +202,6 @@ def partial_energy(a: SubConfiguration, kernel: Kernel) -> float:
     configuration).
     """
     _check_kernel_dim(kernel, a.dim)
-    if a.n1 < 2:
-        return 0.0
     total, _, _ = pair_interaction_sum(a.points, kernel)
     return total / a.denominator**2
 
@@ -203,31 +214,10 @@ def gradient(cfg: Configuration, kernel: Kernel) -> np.ndarray:
 
 
 def gradient_of_points(points: np.ndarray, kernel: Kernel) -> np.ndarray:
-    n = len(points)
-    if n < 2:
-        return np.zeros_like(points)
     order = _canonical_order(points)
     pts = points[order]
-    out = np.empty_like(pts)
-    for start in range(0, n, _BLOCK):
-        chunk = pts[start:start + _BLOCK]
-        diffs = chunk[:, None, :] - pts[None, :, :]
-        d = np.linalg.norm(diffs, axis=2)
-        rows = np.arange(len(chunk))
-        cols = np.arange(start, start + len(chunk))
-        d[rows, cols] = 1.0
-        if np.any(d == 0.0):
-            i_loc, j = np.argwhere(d == 0.0)[0]
-            raise GradientUndefinedError(
-                f"coincident points {order[start + i_loc]} and {order[j]}: "
-                "gradient undefined at zero separation"
-            )
-        w = np.asarray(kernel.radial_prime(d), dtype=float) / d
-        w[rows, cols] = 0.0
-        out[start:start + len(chunk)] = np.einsum("ij,ijk->ik", w, diffs)
-    grad = np.empty_like(out)
-    grad[order] = out
-    return (2.0 / n**2) * grad
+    rows, _, _ = _pair_pass(pts, pts, kernel, order, grad=True)
+    return (2.0 / len(points)**2) * rows[np.argsort(order)]
 
 
 def potential(source, kernel: Kernel, x, exclude: Optional[int] = None) -> float:
@@ -249,26 +239,16 @@ def potential(source, kernel: Kernel, x, exclude: Optional[int] = None) -> float
     if x.shape != (pts.shape[1],):
         raise ValidationError(f"probe point has dimension {x.shape[0]}, expected {pts.shape[1]}")
     if exclude is not None:
-        keep = np.ones(len(pts), dtype=bool)
-        keep[exclude] = False
-        pts = pts[keep]
-    if len(pts) == 0:
-        return 0.0
-    d = np.linalg.norm(pts - x[None, :], axis=1)
-    return float(np.asarray(kernel.radial(d), dtype=float).sum()) / denom
+        pts = np.delete(pts, exclude, axis=0)
+    return float(potential_grid(pts, 1.0, kernel, x[None, :])[0]) / denom
 
 
 def potential_grid(points: np.ndarray, weight: float, kernel: Kernel,
                    probes: np.ndarray) -> np.ndarray:
-    """Vectorized potential of a weighted point family at many probes."""
-    if len(points) == 0:
-        return np.zeros(len(probes))
-    out = np.empty(len(probes))
-    for start in range(0, len(probes), _BLOCK):
-        chunk = probes[start:start + _BLOCK]
-        d = np.linalg.norm(chunk[:, None, :] - points[None, :, :], axis=2)
-        out[start:start + len(chunk)] = np.asarray(kernel.radial(d), dtype=float).sum(axis=1)
-    return out * weight
+    """Vectorized potential of a weighted point family at many probes,
+    summed over the points in the order given."""
+    row_sums, _, _ = _pair_pass(probes, points, kernel)
+    return row_sums * weight
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -21,6 +22,15 @@ from .measures import (
 )
 
 DEFAULT_SEED = 20240801
+
+# besides numeric literals, the coordinate names and calls np.<ufunc>(...) of
+# _DENSITY_UFUNCS, the only syntax a density expression may use
+_DENSITY_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Load,
+                  ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+                  ast.UAdd, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_DENSITY_UFUNCS = frozenset((
+    "abs absolute arccos arcsin arctan arctan2 ceil cos cosh exp expm1 floor hypot log "
+    "log10 log1p log2 maximum minimum power sign sin sinh sqrt square tan tanh").split())
 
 
 def load_json_config(path) -> dict:
@@ -65,6 +75,29 @@ def load_cloud_csv(path, dim: Optional[int] = None):
     return data, None
 
 
+def _compile_density(expr: str, dim: int):
+    """Compile a density expression in x0..x{dim-1} and r after checking
+    every node of it against a whitelist, so config input cannot run code."""
+    try:
+        tree = ast.parse(str(expr), "<density expr>", mode="eval")
+    except SyntaxError as exc:
+        raise ValidationError(f"density expression {expr!r}: {exc.msg}") from exc
+    names = {f"x{k}" for k in range(dim)} | {"r"}
+    callees = set()  # np.<ufunc> of allowed calls; ast.walk meets a call before them
+    for node in ast.walk(tree):
+        f = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(f, ast.Attribute)
+                and f.attr in _DENSITY_UFUNCS and isinstance(f.value, ast.Name)
+                and f.value.id == "np"):
+            callees.update((f, f.value))
+        elif not (isinstance(node, _DENSITY_NODES) or node in callees
+                  or isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+            raise ValidationError(f"density expression {expr!r}: "
+                                  f"{ast.unparse(node) or type(node).__name__!r} is not allowed")
+    return compile(tree, "<density expr>", "eval")
+
+
 def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
     if not isinstance(block, dict) or "type" not in block:
         raise ValidationError("measure block must be a mapping with a 'type' key")
@@ -83,7 +116,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
     if kind == "density":
         expr = block["expr"]
         lo = np.atleast_1d(np.asarray(block["lo"], dtype=float))
-        code = compile(expr, "<density expr>", "eval")
+        code = _compile_density(expr, len(lo))
 
         def density(points: np.ndarray) -> np.ndarray:
             env = {"np": np, "r": np.linalg.norm(points, axis=1)}

@@ -553,7 +553,3 @@ def kernel_from_config(block: dict, base_dir: str = ".") -> Kernel:
             values = tuple(float(v) for v in block["values"])
         return TabulatedKernel(radii=radii, values=values, dim=dim, near_origin_radius=r_bar)
     raise ValidationError(f"unknown kernel variant {variant!r}")
-
-
-def kernel_to_config(kernel: Kernel) -> dict:
-    return kernel.describe()

@@ -309,11 +309,13 @@ def minimize(kernel: Kernel, n: int, dim: int,
     streams = rng.spawn(settings.restarts)
     best = None
     best_key = None
+    completed = 0
     for restart in range(settings.restarts):
         start = _initial_points(n, dim, settings, restart, streams[restart], kernel)
         outcome = _descend(start, kernel, settings, streams[restart])
         if outcome is None:
             continue
+        completed += 1
         _, energy, gnorm, _, _, _, _ = outcome
         key = (energy, gnorm, restart)
         if best_key is None or key < best_key:
@@ -328,7 +330,7 @@ def minimize(kernel: Kernel, n: int, dim: int,
     cfg = Configuration(points)
     final_energy, _, _ = _energy_stats(cfg.points, kernel)
     return MinimizeResult(config=cfg, energy=final_energy, grad_norm=gnorm,
-                          iterations=iters, restarts_used=settings.restarts,
+                          iterations=iters, restarts_used=completed,
                           converged=converged, history=history,
                           repair_events=repair_deltas)
 

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import Configuration, pair_interaction_sum
+from .energy import Configuration, pair_interaction_sum, potential_grid
 from .errors import QuantizeError, ValidationError
 from .kernels import Kernel
 from .measures import Restriction, TargetMeasure
@@ -206,12 +206,9 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for i, cell in enumerate(cells):
                 y = cell.restriction.sample(1, streams[i])[0]
-                d_old = np.linalg.norm(pts - pts[i], axis=1)
-                d_new = np.linalg.norm(pts - y[None, :], axis=1)
-                mask = np.arange(m) != i
-                old_terms = np.asarray(kernel.radial(d_old[mask]), dtype=float)
-                new_terms = np.asarray(kernel.radial(d_new[mask]), dtype=float)
-                delta = 2.0 * (new_terms.sum() - old_terms.sum()) / m**2
+                old, new = potential_grid(np.delete(pts, i, axis=0), 1.0, kernel,
+                                          np.stack([pts[i], y]))
+                delta = 2.0 * (new - old) / m**2
                 if math.isfinite(delta) and delta < 0.0:
                     pts[i] = y
                     best_value += delta

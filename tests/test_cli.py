@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from rieszmin.cli import main
 from rieszmin.energy import load_configuration_csv
 
@@ -236,3 +237,12 @@ class TestParsing:
         loaded = load_configuration_csv(out / "quantized.csv")
         # representatives concentrate near the gaussian bump center
         assert np.linalg.norm(loaded.points.mean(axis=0) - [0.5, 0.5]) < 0.1
+
+    @pytest.mark.parametrize("expr", ["np.__builtins__['len']([1, 2, 3])",
+                                      "__import__('os')", "().__class__",
+                                      "np.load(x0)", "np.exp(x0, out=x0)", "x2 + 1"])
+    def test_density_expression_outside_whitelist_exits_two(self, tmp_path, expr):
+        cfg = write_config(tmp_path, measure={"type": "density", "expr": expr,
+                                              "lo": [0, 0], "hi": [1, 1],
+                                              "normalize": True}, n=9)
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -14,7 +14,6 @@ from rieszmin import (
     ValidationError,
     check_assumptions,
     kernel_from_config,
-    kernel_to_config,
     local_avg_integral,
 )
 from rieszmin.errors import GradientUndefinedError
@@ -259,7 +258,7 @@ class TestSerialization:
         ]
         rng = np.random.default_rng(6)
         for k in kernels:
-            k2 = kernel_from_config(kernel_to_config(k))
+            k2 = kernel_from_config(k.describe())
             for _ in range(20):
                 v = rng.normal(size=k.dim)
                 assert k2.evaluate(v) == pytest.approx(k.evaluate(v), rel=1e-12)

@@ -88,6 +88,14 @@ class TestMinimize:
         assert np.isfinite(res.energy)
         assert discrete_energy(res.config, k).min_pair_distance > 0
 
+    def test_restarts_used_counts_only_completed_restarts(self):
+        # restart 0 starts on the coincident pair (energy +inf) and is dropped
+        k = PowerLawKernel(-0.5, 2, dim=2)
+        start = Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        settings = MinimizeSettings(restarts=3, max_iters=50,
+                                    init=InitSpec(kind="user", config=start))
+        assert minimize(k, 4, 2, settings).restarts_used == 2
+
 
 class TestRepair:
     def test_no_outliers_is_identity(self):
