@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -87,7 +88,10 @@ def _setup(args):
 def _kernel(config, base_dir):
     if "kernel" not in config:
         raise UsageError("config is missing the 'kernel' block")
-    return kernel_from_config(config["kernel"], base_dir)
+    try:
+        return kernel_from_config(config["kernel"], base_dir)
+    except KeyError as exc:
+        raise UsageError(f"config 'kernel' block is missing key {exc}") from None
 
 
 def _measure(config, base_dir, key="measure", required=True):
@@ -95,7 +99,10 @@ def _measure(config, base_dir, key="measure", required=True):
         if required:
             raise UsageError(f"config is missing the '{key}' block")
         return None
-    return measure_from_config(config[key], base_dir)
+    try:
+        return measure_from_config(config[key], base_dir)
+    except KeyError as exc:
+        raise UsageError(f"config '{key}' block is missing key {exc}") from None
 
 
 def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
@@ -103,7 +110,7 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     init_block = dict(block.get("init", {}))
     kind = init_block.get("kind", "random-gaussian")
     if kind == "quantizer-seeded":
-        init = InitSpec(kind=kind, measure=measure_from_config(init_block["measure"], base_dir))
+        init = InitSpec(kind=kind, measure=_measure(init_block, base_dir))
     elif kind == "user":
         start = load_configuration_csv(os.path.join(base_dir, init_block["path"]))
         init = InitSpec(kind=kind, config=start)
@@ -146,7 +153,10 @@ def _cmd_check_kernel(args) -> int:
     kernel = _kernel(config, base_dir)
     witness = _measure(config, base_dir, key="witness", required=False)
     scheme_block = dict(config.get("check_scheme", {}))
-    scheme = CheckScheme(seed=seed, **scheme_block) if scheme_block else CheckScheme(seed=seed)
+    unknown = sorted(set(scheme_block) - {f.name for f in fields(CheckScheme)} - {"seed"})
+    if unknown:  # the seed comes from --seed or the top-level 'seed'
+        raise UsageError(f"config 'check_scheme' block has unknown key(s) {unknown}")
+    scheme = CheckScheme(seed=seed, **scheme_block)
     report = check_assumptions(kernel, witness, scheme)
     for line in (
         f"lower bound        : {report.h1_lower_bound:.6g} "
@@ -172,7 +182,7 @@ def _cmd_check_kernel(args) -> int:
 def _cmd_quantize(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
     measure = _measure(config, base_dir)
-    kernel = kernel_from_config(config["kernel"], base_dir) if "kernel" in config else None
+    kernel = _kernel(config, base_dir) if "kernel" in config else None
     if "n" not in config:
         raise UsageError("config is missing 'n'")
     block = dict(config.get("quantize", {}))

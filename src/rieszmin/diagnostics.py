@@ -149,22 +149,6 @@ class ClusterReport:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterReport:
     """Single-linkage clusters at threshold gap_factor x median nearest-
     neighbor distance, classified into one of three finite-scale labels:
@@ -186,21 +170,26 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
                               center=pts[0].copy(), radius=0.0)
         return ClusterReport("compactness", [cluster], 1.0, math.inf, 0.0, 0.0, 1.0, 0.0)
 
-    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    off = dists + np.diag(np.full(n, math.inf))
-    nn = off.min(axis=1)
+    # imported here so that commands without a classifier do not pay for them
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts)
+    nn = tree.query(pts, k=2)[0][:, 1]
     median_nn = float(np.median(nn))
     threshold = gap_factor * median_nn
 
-    uf = _UnionFind(n)
-    for i in range(n - 1):
-        for j in np.nonzero(off[i, i + 1:] <= threshold)[0]:
-            uf.union(i, int(i + 1 + j))
-    labels = np.array([uf.find(i) for i in range(n)])
+    # the tree tests squared distances against threshold**2, which can settle a tie the
+    # other way; query a hair wider, then link d <= threshold with d computed as in _pair_pass
+    pairs = tree.query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
+    i, j = pairs[np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1) <= threshold].T
+    graph = coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
     clusters: List[ClusterInfo] = []
-    for root in sorted(set(labels.tolist())):
-        idx = np.nonzero(labels == root)[0]
+    for idx in members:
         center = pts[idx].mean(axis=0)
         radius = float(np.linalg.norm(pts[idx] - center, axis=1).max())
         clusters.append(ClusterInfo(indices=idx, mass_fraction=len(idx) / n,
@@ -208,16 +197,15 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
     clusters.sort(key=lambda c: (-c.mass_fraction, c.indices[0]))
     largest = clusters[0].mass_fraction
 
-    gap = math.inf
-    if len(clusters) > 1:
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                gap = min(gap, float(off[np.ix_(clusters[a].indices,
-                                                clusters[b].indices)].min()))
+    # each cluster against all later ones covers every inter-cluster pair once
+    by_cluster = pts[np.concatenate([c.indices for c in clusters])]
+    bounds = np.cumsum([0] + [len(c.indices) for c in clusters])
+    gap = min((_pair_pass(by_cluster[a:b], by_cluster[b:], extent=True)[1]
+               for a, b in zip(bounds[:-2], bounds[1:-1])), default=math.inf)
 
     positive_nn = nn[nn > 0]
     ball_radius = 0.5 * float(positive_nn.min()) if positive_nn.size else 0.0
-    ball_counts = (dists <= ball_radius).sum(axis=1)
+    ball_counts = tree.query_ball_point(pts, ball_radius, return_length=True)
     max_ball_mass = float(ball_counts.max()) / n
 
     if largest >= 0.99:

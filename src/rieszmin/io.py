@@ -95,6 +95,12 @@ def _compile_density(expr: str, dim: int):
                   or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
             raise ValidationError(f"density expression {expr!r}: "
                                   f"{ast.unparse(node) or type(node).__name__!r} is not allowed")
+        elif isinstance(node, ast.Constant):
+            try:  # float powers overflow at once where int powers (9**9**9) grow without bound
+                node.value = float(node.value)
+            except OverflowError:
+                raise ValidationError(f"density expression {expr!r}: "
+                                      "an integer literal exceeds the float range") from None
     return compile(tree, "<density expr>", "eval")
 
 
@@ -122,10 +128,11 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
             env = {"np": np, "r": np.linalg.norm(points, axis=1)}
             for k in range(points.shape[1]):
                 env[f"x{k}"] = points[:, k]
-            return np.broadcast_to(
-                np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float),
-                (points.shape[0],),
-            )
+            try:
+                value = eval(code, {"__builtins__": {}}, env)
+            except ArithmeticError as exc:
+                raise ValidationError(f"density expression {expr!r}: {exc}") from None
+            return np.broadcast_to(np.asarray(value, dtype=float), (points.shape[0],))
 
         return DensityBoxMeasure(density, lo, block["hi"],
                                  cells_per_axis=block.get("cells_per_axis"),

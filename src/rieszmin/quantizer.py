@@ -170,10 +170,8 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     rng = np.random.default_rng(seed)
     streams = rng.spawn(m)
 
-    best_points = None
-    best_value = math.inf
     finite_values: List[float] = []
-    for attempt in range(k):
+    for _ in range(k):
         draws = np.empty((k, m, part.dim))
         for i, cell in enumerate(cells):
             draws[:, i, :] = cell.restriction.sample(k, streams[i])
@@ -183,18 +181,17 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         finite = np.isfinite(values)
         finite_values.extend(values[finite].tolist())
         if np.any(finite):
-            j = int(np.argmin(np.where(finite, values, math.inf)))
-            if values[j] < best_value:
-                best_value = float(values[j])
-                best_points = draws[j].copy()
             break
         # all k tuples hit +inf (coincident draws under a singular kernel):
         # re-draw; give up after k rounds
-        if attempt == k - 1:
-            raise QuantizeError(
-                f"representative selection failed: {k} rounds of {k} tuples "
-                "all produced non-finite pair sums"
-            )
+    else:
+        raise QuantizeError(
+            f"representative selection failed: {k} rounds of {k} tuples "
+            "all produced non-finite pair sums"
+        )
+    j = int(np.argmin(np.where(finite, values, math.inf)))
+    best_value = float(values[j])
+    best_points = draws[j].copy()
 
     bound_estimate = float(np.mean(finite_values)) if finite_values else None
     bound_stderr = (float(np.std(finite_values, ddof=1) / math.sqrt(len(finite_values)))
@@ -202,18 +199,15 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
 
     improvements = 0
     if strategy == "hybrid":
-        pts = best_points
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for i, cell in enumerate(cells):
                 y = cell.restriction.sample(1, streams[i])[0]
-                old, new = potential_grid(np.delete(pts, i, axis=0), 1.0, kernel,
-                                          np.stack([pts[i], y]))
+                old, new = potential_grid(np.delete(best_points, i, axis=0), 1.0, kernel,
+                                          np.stack([best_points[i], y]))
                 delta = 2.0 * (new - old) / m**2
                 if math.isfinite(delta) and delta < 0.0:
-                    pts[i] = y
-                    best_value += delta
+                    best_points[i] = y
                     improvements += 1
-        best_points = pts
         best_value = _normalized_pair_sum(best_points, kernel, m)
 
     for cell, rep in zip(cells, best_points):

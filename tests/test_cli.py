@@ -238,11 +238,24 @@ class TestParsing:
         # representatives concentrate near the gaussian bump center
         assert np.linalg.norm(loaded.points.mean(axis=0) - [0.5, 0.5]) < 0.1
 
+    # syntax outside the whitelist, or arithmetic that fails when evaluated
     @pytest.mark.parametrize("expr", ["np.__builtins__['len']([1, 2, 3])",
                                       "__import__('os')", "().__class__",
-                                      "np.load(x0)", "np.exp(x0, out=x0)", "x2 + 1"])
+                                      "np.load(x0)", "np.exp(x0, out=x0)", "x2 + 1",
+                                      "x0 * 10**400", "1/0"])
     def test_density_expression_outside_whitelist_exits_two(self, tmp_path, expr):
         cfg = write_config(tmp_path, measure={"type": "density", "expr": expr,
                                               "lo": [0, 0], "hi": [1, 1],
                                               "normalize": True}, n=9)
         assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command, block, key", [
+        ("check-kernel", {"check_scheme": {"bogus": 1}}, "bogus"),
+        ("quantize", {"measure": {"type": "uniform_box"}}, "lo"),
+        ("minimize", {"kernel": {"variant": "morse", "c1": 4.0}}, "c2"),
+    ])
+    def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
+        cfg = write_config(tmp_path, **block)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestClusterClassify:
     def test_single_point(self):
         report = cluster_classify(Configuration([[1.0, 1.0]]))
         assert report.classification == "compactness"
+
+    def test_memory_stays_linear_in_n(self):
+        # two unit disks 30 apart at n = 4096; one n x n float matrix alone is 134 MB
+        rng = np.random.default_rng(8)
+        cfg = Configuration(np.vstack([ball_points(rng, 2048, [0.0, 0.0], 1.0),
+                                       ball_points(rng, 2048, [30.0, 0.0], 1.0)]))
+        cluster_classify(Configuration(cfg.points[:8]))  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            cluster_classify(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBLDistance:

@@ -1,8 +1,10 @@
 """Property tests of the blocked pair pass: canonical order makes every pair
 sum permutation-exact, and the per-particle potentials reuse the energy's
 own arithmetic.  Clouds reach n = 600, so they span up to three 256-row
-blocks."""
+blocks.  The cluster classifier is checked against a dense single-linkage
+reference."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from rieszmin import (
     el_residual,
     gradient,
 )
+from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
 from rieszmin.energy import potential_grid
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
@@ -101,3 +104,81 @@ def test_gradient_error_names_the_coincident_input_indices(n, dim, seed, i, j):
     with pytest.raises(GradientUndefinedError,
                        match=f"coincident points {min(i, j)} and {max(i, j)}:"):
         gradient(Configuration(pts), make_kernel("power_law", dim))
+
+
+def dense_single_linkage(pts, gap_factor):
+    """The classifier on a dense n x n distance matrix, with a union-find
+    over the pairs within the link threshold."""
+    n = len(pts)
+    if n == 1:
+        cluster = ClusterInfo(np.array([0]), 1.0, pts[0].copy(), 0.0)
+        return ClusterReport("compactness", [cluster], 1.0, math.inf, 0.0, 0.0, 1.0, 0.0)
+    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    off = dists + np.diag(np.full(n, math.inf))
+    nn = off.min(axis=1)
+    median_nn = float(np.median(nn))
+    threshold = gap_factor * median_nn
+
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(off <= threshold, 1))):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([find(i) for i in range(n)])
+    clusters = []
+    for root in sorted(set(roots.tolist())):
+        idx = np.nonzero(roots == root)[0]
+        center = pts[idx].mean(axis=0)
+        radius = float(np.linalg.norm(pts[idx] - center, axis=1).max())
+        clusters.append(ClusterInfo(idx, len(idx) / n, center, radius))
+    clusters.sort(key=lambda c: (-c.mass_fraction, c.indices[0]))
+    gap = min((float(off[np.ix_(a.indices, b.indices)].min())
+               for a, b in itertools.combinations(clusters, 2)), default=math.inf)
+
+    positive_nn = nn[nn > 0]
+    ball_radius = 0.5 * float(positive_nn.min()) if positive_nn.size else 0.0
+    max_ball_mass = float((dists <= ball_radius).sum(axis=1).max()) / n
+
+    largest = clusters[0].mass_fraction
+    heavy = [c for c in clusters if c.mass_fraction >= 0.05]
+    if largest >= 0.99:
+        label = "compactness"
+    elif len(heavy) >= 2 and gap > 10.0 * max(c.radius for c in clusters):
+        label = "dichotomy-like"
+    else:
+        label = "vanishing-like"
+    return ClusterReport(label, clusters, largest, gap, median_nn, threshold,
+                         max_ball_mass, ball_radius)
+
+
+def cluster_cloud(n, dim, seed, kind):
+    """Blobs of normal points; 'duplicates' repeats a third of the points,
+    'lattice' snaps them to a 0.1 grid, where many distances tie and the
+    link threshold can fall exactly on one of them."""
+    rng = np.random.default_rng(seed)
+    centers = 12.0 * rng.normal(size=(int(rng.integers(1, 5)), dim))
+    pts = centers[rng.integers(0, len(centers), n)] + rng.normal(size=(n, dim))
+    if kind == "duplicates":
+        pts[rng.integers(0, n, n // 3)] = pts[rng.integers(0, n, n // 3)]
+    elif kind == "lattice":
+        pts = np.round(pts, 1)
+    return pts
+
+
+@SETTINGS
+@given(n=st.integers(1, 600), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "duplicates", "lattice"]),
+       gap_factor=st.floats(1.0, 20.0, exclude_min=True))
+@example(n=1, dim=2, seed=0, kind="normal", gap_factor=5.0)
+@example(n=246, dim=2, seed=58, kind="lattice", gap_factor=2.0)  # a link distance ties the threshold
+def test_cluster_classify_matches_dense_single_linkage(n, dim, seed, kind, gap_factor):
+    pts = cluster_cloud(n, dim, seed, kind)
+    got = cluster_classify(Configuration(pts), gap_factor)
+    want = dense_single_linkage(pts, gap_factor)
+    assert got.as_dict() == want.as_dict()
+    assert [c.indices.tolist() for c in got.clusters] == [c.indices.tolist() for c in want.clusters]
