@@ -30,9 +30,10 @@ from .energy import (
     discrete_energy,
     load_configuration_csv,
     save_configuration_csv,
+    worker_threads,
 )
 from .errors import NumericalError, UsageError, ValidationError
-from .io import DEFAULT_SEED, dump_report, load_json_config, measure_from_config
+from .io import DEFAULT_SEED, config_number, dump_report, load_json_config, measure_from_config
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
 from .minimizer import (
     InitSpec,
@@ -57,8 +58,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", required=True, help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="override config seed")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker hint; results are identical for any value")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the pair passes (capped at the core "
+                             "count); results are identical for any value")
     common.add_argument("--svg", action="store_true", help="emit SVG plots (2-d only)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check-kernel", parents=[common],
@@ -78,7 +80,7 @@ def _build_parser() -> _Parser:
 
 def _setup(args):
     config = load_json_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", DEFAULT_SEED))
+    seed = args.seed if args.seed is not None else config_number(config, "seed", int, DEFAULT_SEED)
     out_dir = args.out or config.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -112,33 +114,35 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     if kind == "quantizer-seeded":
         init = InitSpec(kind=kind, measure=_measure(init_block, base_dir))
     elif kind == "user":
+        if "path" not in init_block:
+            raise UsageError("config 'minimize.init' block of kind 'user' is missing key 'path'")
         start = load_configuration_csv(os.path.join(base_dir, init_block["path"]))
         init = InitSpec(kind=kind, config=start)
     else:
-        init = InitSpec(kind=kind, scale=float(init_block.get("scale", 1.0)))
+        init = InitSpec(kind=kind, scale=config_number(init_block, "scale", float, 1.0))
     step_block = dict(block.get("step", {}))
     step = StepRule(
-        initial=float(step_block.get("initial", 1.0)),
-        shrink=float(step_block.get("shrink", 0.5)),
-        sufficient_decrease=float(step_block.get("sufficient_decrease", 1e-4)),
+        initial=config_number(step_block, "initial", float, 1.0),
+        shrink=config_number(step_block, "shrink", float, 0.5),
+        sufficient_decrease=config_number(step_block, "sufficient_decrease", float, 1e-4),
     )
     repair_block = block.get("repair", {})
     repair = None
     if repair_block is not None:
         repair_block = dict(repair_block)
         repair = RepairSettings(
-            bulk_radius_quantile=float(repair_block.get("bulk_radius_quantile", 0.5)),
-            far_factor=float(repair_block.get("far_factor", 1.5)),
+            bulk_radius_quantile=config_number(repair_block, "bulk_radius_quantile", float, 0.5),
+            far_factor=config_number(repair_block, "far_factor", float, 1.5),
             grid_side=repair_block.get("grid_side"),
         )
     return MinimizeSettings(
-        restarts=int(block.get("restarts", 16)),
-        max_iters=int(block.get("max_iters", 2000)),
-        grad_tol=float(block.get("grad_tol", 1e-9)),
+        restarts=config_number(block, "restarts", int, 16),
+        max_iters=config_number(block, "max_iters", int, 2000),
+        grad_tol=config_number(block, "grad_tol", float, 1e-9),
         init=init,
         step=step,
         repair=repair,
-        repair_period=int(block.get("repair_period", 50)),
+        repair_period=config_number(block, "repair_period", int, 50),
         seed=seed,
     )
 
@@ -186,9 +190,9 @@ def _cmd_quantize(args) -> int:
     if "n" not in config:
         raise UsageError("config is missing 'n'")
     block = dict(config.get("quantize", {}))
-    result = quantize(measure, int(config["n"]), kernel,
+    result = quantize(measure, config_number(config, "n", int), kernel,
                       strategy=block.get("strategy", "hybrid" if kernel else "conditional-mean"),
-                      k=int(block.get("k", 32)), seed=seed)
+                      k=config_number(block, "k", int, 32), seed=seed)
     save_configuration_csv(result.config, os.path.join(out_dir, "quantized.csv"))
     sidecar = result.sidecar()
     if kernel is not None:
@@ -207,8 +211,8 @@ def _cmd_minimize(args) -> int:
     kernel = _kernel(config, base_dir)
     if "n" not in config:
         raise UsageError("config is missing 'n'")
-    n = int(config["n"])
-    dim = int(config.get("dim", kernel.dim))
+    n = config_number(config, "n", int)
+    dim = config_number(config, "dim", int, kernel.dim)
     settings = _minimize_settings(config, seed, base_dir)
     result = minimize(kernel, n, dim, settings)
     save_configuration_csv(result.config, os.path.join(out_dir, "minimized.csv"))
@@ -231,19 +235,19 @@ def _cmd_trace(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
     kernel = _kernel(config, base_dir)
     measure = _measure(config, base_dir)
-    n_list = config.get("n_list")
-    if not n_list:
+    if not config.get("n_list"):
         raise UsageError("config must provide a nonempty 'n_list'")
+    n_list = config_number(config, "n_list", lambda ns: [int(n) for n in ns])
     block = dict(config.get("trace", {}))
     settings = _minimize_settings(config, seed, base_dir)
     trace = gamma_trace(
-        kernel, measure, [int(n) for n in n_list],
+        kernel, measure, n_list,
         with_minimization=bool(block.get("with_minimization", False)),
         strategy=block.get("strategy", "hybrid"),
-        draws=int(block.get("k", 32)),
+        draws=config_number(block, "k", int, 32),
         seed=seed,
         minimize_settings=settings,
-        mc_samples=int(block.get("mc_samples", 200_000)),
+        mc_samples=config_number(block, "mc_samples", int, 200_000),
     )
     csv_path = os.path.join(out_dir, "trace.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -259,7 +263,7 @@ def _cmd_trace(args) -> int:
                 f"{row.diameter:.17g}",
             ])
     dump_report(trace.as_dict(), os.path.join(out_dir, "trace.json"))
-    print(f"trace over n={list(map(int, n_list))}: target energy "
+    print(f"trace over n={n_list}: target energy "
           f"{trace.target_energy:.6g} +- {trace.target_std_error:.2g}")
     for row in trace.rows:
         print(f"  n={row.n:6d}  quantized {row.energy_quantized:+.6f}  "
@@ -284,7 +288,7 @@ def _cmd_diagnose(args) -> int:
     diag_block = dict(config.get("diagnostics", {}))
     probe = ProbeScheme(seed=seed)
     el = el_residual(cfg, kernel, probe)
-    clusters = cluster_classify(cfg, float(diag_block.get("gap_factor", 5.0)))
+    clusters = cluster_classify(cfg, config_number(diag_block, "gap_factor", float, 5.0))
     payload = {
         "el": el.as_dict(),
         "clusters": clusters.as_dict(),
@@ -318,7 +322,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        with worker_threads(args.threads):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,16 +1,20 @@
 """Discrete pair energies, cross/partial energies, potentials, and the
 Monte-Carlo continuum energy.
 
-Every pair sum goes through one blocked pass, _pair_pass.  Sums over a
-family run in its canonical point order (lexicographic sort of the
-coordinates), so results are bit-identical under permutation of the input
-points and independent of how the work is scheduled.  Desk scale (n up to
-~10^4) keeps the O(n^2) sums practical.
+Every pair sum goes through one blocked pass, _pair_pass, whose cache-sized
+blocks may run on worker threads (worker_threads); each block writes its own
+rows, so results do not depend on the schedule.  Sums over a family run in
+its canonical point order (lexicographic sort of the coordinates), so
+results are bit-identical under permutation of the input points.  Desk
+scale (n up to ~10^4) keeps the O(n^2) sums practical.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,7 +23,9 @@ import numpy as np
 from .errors import GradientUndefinedError, ValidationError
 from .kernels import Kernel
 
-_BLOCK = 256
+_BLOCK_ELEMENTS = 2**16  # pairs per block: its few float buffers fit a 2 MB L2 cache
+# the pool getter of the enclosing worker_threads block; worker threads see None
+_POOL: ContextVar = ContextVar("rieszmin_pair_pool", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +114,31 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+@contextmanager
+def worker_threads(count: int):
+    """Run the blocks of the pair passes made in the with-block on this
+    thread on ``count`` worker threads, at most one per core; results are
+    the same for any count.  The pool starts with the first pass that has
+    more than one block."""
+    count = min(count, os.cpu_count() or 1)
+    pools = []
+
+    def pool():
+        if not pools:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pools.append(ThreadPoolExecutor(count, thread_name_prefix="pair-pass"))
+        return pools[0]
+
+    token = _POOL.set(pool if count > 1 else None)
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+        for made in pools:
+            made.shutdown()
+
+
 def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = None,
                order: Optional[np.ndarray] = None, grad: bool = False,
                extent: bool = False):
@@ -119,27 +150,36 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
     g'(d)/d (r_i - c_j); with extent=True the min and max distance.  A given
     ``order`` says rows and cols are both points[order], one family in
     canonical order: the pairs i == j are skipped, and coincident points
-    met by the gradient are named by their indices in points.
+    met by the gradient are named by their indices in points (the first
+    such pair of the first failing block in block order, for any schedule).
 
     Returns (per-row values or None, min distance, max distance).
     """
     values = None if kernel is None else np.empty(rows.shape if grad else len(rows))
-    lo, hi = math.inf, 0.0
-    for start in range(0, len(rows), _BLOCK):
-        chunk = rows[start:start + _BLOCK]
-        diffs = chunk[:, None, :] - cols[None, :, :]
-        d = np.linalg.norm(diffs, axis=2)
-        if not grad:
-            del diffs  # free the (B, n, dim) block before the kernel allocates its own
+    axes = np.ascontiguousarray(cols.T)
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
+    errstate = np.geterr()  # worker threads do not inherit the caller's
+
+    def block(start):
+        chunk = rows[start:start + step]
+        # squares summed in axis order, as np.linalg.norm sums them for dim < 8
+        d = np.subtract.outer(chunk[:, 0], axes[0])
+        np.square(d, out=d)
+        part = np.empty_like(d)
+        for k in range(1, rows.shape[1]):
+            d += np.square(np.subtract.outer(chunk[:, k], axes[k], out=part), out=part)
+        del part  # the kernel's temporaries can then reuse its cache-warm memory
+        np.sqrt(d, out=d)
         # the skipped pairs i == j of this block; none for two families
         k = np.arange(len(chunk) if order is not None else 0)
         eye = (k, start + k)
+        lo, hi = math.inf, 0.0
         if extent:
-            hi = max(hi, float(d.max()))  # a skipped pair sits at distance 0
+            hi = float(d.max())  # a skipped pair sits at distance 0
             d[eye] = math.inf
-            lo = min(lo, float(d.min()))
+            lo = float(d.min())
         if kernel is None:
-            continue
+            return lo, hi
         d[eye] = 1.0  # any finite placeholder; its term is zeroed below
         if grad:
             if np.any(d == 0.0):
@@ -150,11 +190,24 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
                 )
             w = np.asarray(kernel.radial_prime(d), dtype=float) / d
             w[eye] = 0.0
+            diffs = chunk[:, None, :] - cols[None, :, :]
             values[start:start + len(chunk)] = np.einsum("ij,ijk->ik", w, diffs)
         else:
             vals = np.asarray(kernel.radial(d), dtype=float)
             vals[eye] = 0.0
             values[start:start + len(chunk)] = vals.sum(axis=1)
+        return lo, hi
+
+    def task(start):
+        with np.errstate(**errstate):
+            return block(start)
+
+    starts = range(0, len(rows), step)
+    pool = _POOL.get()
+    bounds = map(block, starts) if pool is None or len(starts) < 2 else pool().map(task, starts)
+    lo, hi = math.inf, 0.0
+    for block_lo, block_hi in bounds:  # in block order, so the first error wins
+        lo, hi = min(lo, block_lo), max(hi, block_hi)
     return values, lo, hi
 
 

@@ -46,6 +46,16 @@ def load_json_config(path) -> dict:
     return data
 
 
+def config_number(block: dict, key: str, cast=float, default=None):
+    """block[key] converted by ``cast`` (``default`` when given and the key is
+    absent); a value that does not convert is a UsageError naming the key."""
+    value = block[key] if default is None else block.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(1e400)
+        raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
+
+
 def load_cloud_csv(path, dim: Optional[int] = None):
     """One point per row, optional trailing weight column (detected against
     the declared dimension)."""

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GradientUndefinedError, IntegrabilityError, ValidationError
+from .io import config_number
 from .quadrature import (
     refining_cube_integral,
     refining_radial_integral,
@@ -531,18 +532,19 @@ def kernel_from_config(block: dict, base_dir: str = ".") -> Kernel:
     if not isinstance(block, dict) or "variant" not in block:
         raise ValidationError("kernel block must be a mapping with a 'variant' key")
     variant = str(block["variant"]).lower()
-    dim = int(block.get("dim", 2))
+    dim = config_number(block, "dim", int, 2)
     r_bar = block.get("near_origin_radius")
     if variant in ("power_law", "powerlaw", "power-law"):
-        return PowerLawKernel(alpha=float(block["alpha"]), beta=float(block["beta"]),
+        return PowerLawKernel(alpha=config_number(block, "alpha"),
+                              beta=config_number(block, "beta"),
                               dim=dim, near_origin_radius=r_bar)
     if variant == "morse":
-        return MorseKernel(c1=float(block["c1"]), c2=float(block["c2"]),
-                           l1=float(block["l1"]), l2=float(block["l2"]),
+        return MorseKernel(c1=config_number(block, "c1"), c2=config_number(block, "c2"),
+                           l1=config_number(block, "l1"), l2=config_number(block, "l2"),
                            dim=dim, near_origin_radius=r_bar)
     if variant == "truncated":
         inner = kernel_from_config(block["inner"], base_dir)
-        return TruncatedKernel(inner=inner, level=float(block["level"]))
+        return TruncatedKernel(inner=inner, level=config_number(block, "level"))
     if variant in ("tabulated", "tabulated_radial"):
         if "path" in block:
             import os

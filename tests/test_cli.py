@@ -253,9 +253,50 @@ class TestParsing:
         ("check-kernel", {"check_scheme": {"bogus": 1}}, "bogus"),
         ("quantize", {"measure": {"type": "uniform_box"}}, "lo"),
         ("minimize", {"kernel": {"variant": "morse", "c1": 4.0}}, "c2"),
+        ("check-kernel", {"kernel": {"variant": "power_law", "alpha": "abc", "beta": 2.0}},
+         "alpha"),
+        ("quantize", {"n": "ten"}, "n"),
+        ("minimize", {"n": "ten"}, "n"),
+        ("minimize", {"minimize": {"init": {"kind": "user"}}}, "path"),
+        ("trace", {"n_list": ["ten"]}, "n_list"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         cfg = write_config(tmp_path, **block)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+class TestThreads:
+    def test_threads_below_one_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["quantize", "--config", cfg, "--threads", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--threads" in err
+
+    # n = 300 and 400 points make every pair pass span more than one block
+    @pytest.mark.parametrize("command, files", [
+        ("quantize", ["quantized.csv", "quantize.json"]),
+        ("minimize", ["minimized.csv", "history.csv", "minimize.json"]),
+        ("trace", ["trace.csv", "trace.json"]),
+        ("diagnose", ["diagnose.json"]),
+    ])
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, command, files):
+        cfg = write_config(tmp_path, n=300, n_list=[300], quantize={"k": 4},
+                           minimize={"restarts": 1, "max_iters": 20},
+                           trace={"k": 4, "mc_samples": 20000})
+        args = [command, "--config", cfg]
+        if command == "diagnose":
+            pts = np.random.default_rng(2).normal(size=(400, 2))
+            path = tmp_path / "cloud.csv"
+            path.write_text("\n".join(["2,400"] + [f"{x:.17g},{y:.17g}" for x, y in pts]) + "\n")
+            args.append(str(path))
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(args + ["--out", str(one), "--threads", "1"]) == 0
+        assert main(args + ["--out", str(two), "--threads", "2"]) == 0
+        for name in files:
+            if name.endswith(".json"):
+                assert result_payload(one / name) == result_payload(two / name)
+            else:
+                assert (one / name).read_bytes() == (two / name).read_bytes()

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,13 @@ from rieszmin import (
     single_atom,
     truncated_energy_gap,
 )
-from rieszmin.energy import load_configuration_csv, save_configuration_csv
+from rieszmin import energy
+from rieszmin.energy import (
+    load_configuration_csv,
+    pair_interaction_sum,
+    save_configuration_csv,
+    worker_threads,
+)
 
 PL2 = PowerLawKernel(1, 2, dim=2)
 PL1 = PowerLawKernel(1, 2, dim=1)
@@ -176,6 +185,30 @@ class TestGradient:
         cfg = Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(GradientUndefinedError):
             gradient(cfg, PowerLawKernel(-1, 2, dim=2))
+
+
+class TestWorkerThreads:
+    def test_worker_count_is_capped_at_the_core_count(self):
+        with worker_threads(10**6):  # a pool starts no thread before it is given work
+            pool = energy._POOL.get()
+            assert (1 if pool is None else pool()._max_workers) == (os.cpu_count() or 1)
+
+    def test_caller_errstate_holds_in_worker_threads(self):
+        seen = []
+
+        class Recording(PowerLawKernel):
+            def radial(self, r):
+                seen.append((threading.current_thread() is threading.main_thread(),
+                             np.geterr()))
+                return super().radial(r)
+
+        pts = np.random.default_rng(0).normal(size=(600, 2))
+        with mock.patch.object(energy.os, "cpu_count", return_value=2), \
+                np.errstate(over="raise", under="warn", invalid="print"), worker_threads(2):
+            want = np.geterr()
+            pair_interaction_sum(pts, Recording(1, 2, dim=2))
+        assert len(seen) > 1
+        assert all(not on_main and err == want for on_main, err in seen)
 
 
 class TestPotential:

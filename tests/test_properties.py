@@ -1,11 +1,15 @@
 """Property tests of the blocked pair pass: canonical order makes every pair
-sum permutation-exact, and the per-particle potentials reuse the energy's
-own arithmetic.  Clouds reach n = 600, so they span up to three 256-row
-blocks.  The cluster classifier is checked against a dense single-linkage
-reference."""
+sum permutation-exact, the per-particle potentials reuse the energy's own
+arithmetic, and the pass gives the same bits for any number of worker
+threads as a dense np.linalg.norm reference.  Clouds reach n = 600, so a
+pass spans several blocks.  The cluster classifier is checked against a
+dense single-linkage reference."""
 
 import itertools
 import math
+import sys
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +25,9 @@ from rieszmin import (
     el_residual,
     gradient,
 )
+from rieszmin import energy
 from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
-from rieszmin.energy import potential_grid
+from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
 
@@ -104,6 +109,89 @@ def test_gradient_error_names_the_coincident_input_indices(n, dim, seed, i, j):
     with pytest.raises(GradientUndefinedError,
                        match=f"coincident points {min(i, j)} and {max(i, j)}:"):
         gradient(Configuration(pts), make_kernel("power_law", dim))
+
+
+@contextmanager
+def workers(count):
+    """worker_threads(count), with the core-count cap lifted to count and
+    thread switches forced often, so that a race between blocks would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(energy.os, "cpu_count", return_value=count), \
+                energy.worker_threads(count):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
+    """_pair_pass on one dense block, with np.linalg.norm distances."""
+    diffs = rows[:, None, :] - cols[None, :, :]
+    d = np.linalg.norm(diffs, axis=2)
+    k = np.arange(len(rows) if order is not None else 0)
+    hi = float(d.max())
+    d[k, k] = math.inf
+    lo = float(d.min())
+    if kernel is None:
+        return None, lo, hi
+    d[k, k] = 1.0
+    if grad:
+        if np.any(d == 0.0):
+            i, j = np.argwhere(d == 0.0)[0]
+            raise GradientUndefinedError(f"coincident points {order[i]} and {order[j]}:")
+        w = kernel.radial_prime(d) / d
+        w[k, k] = 0.0
+        return np.einsum("ij,ijk->ik", w, diffs), lo, hi
+    vals = kernel.radial(d)
+    vals[k, k] = 0.0
+    return vals.sum(axis=1), lo, hi
+
+
+@SETTINGS
+@given(n=st.integers(1, 600), m=st.integers(0, 1200), dim=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), kernel=st.sampled_from([None, "power_law", "morse"]),
+       grad=st.booleans())
+@example(n=1, m=0, dim=2, seed=0, kernel="power_law", grad=True)
+@example(n=2, m=0, dim=3, seed=0, kernel="morse", grad=True)
+@example(n=257, m=0, dim=2, seed=1, kernel="power_law", grad=False)  # two rows past a block
+@example(n=600, m=1200, dim=6, seed=2, kernel="morse", grad=False)
+def test_pair_pass_is_the_dense_reference_for_any_worker_count(n, m, dim, seed, kernel, grad):
+    """m = 0 makes the rows and cols one family in canonical order; otherwise
+    m points are the cols against n rows, without a gradient."""
+    rows = make_points(n, dim, seed, True)
+    order = None
+    if m:
+        cols, grad = 2.0 * make_points(m, dim, seed + 1, False), False
+    else:
+        order = energy._canonical_order(rows)
+        rows = cols = rows[order]
+    k = None if kernel is None else make_kernel(kernel, dim)
+    grad = grad and k is not None
+    want = dense_pair_pass(rows, cols, k, order, grad)
+    for count in (1, 2, 3):
+        with workers(count):
+            got = _pair_pass(rows, cols, k, order, grad, extent=True)
+        assert got[1:] == want[1:]
+        assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])
+
+
+def test_gradient_error_names_the_first_block_for_any_worker_count():
+    pts = np.arange(600.0).reshape(-1, 1)  # canonical order is the input order
+    pts[1], pts[501] = pts[0], pts[500]
+    assert 500 >= energy._BLOCK_ELEMENTS // 600  # the two pairs sit in different blocks
+    for count in (1, 2, 3):
+        with workers(count), pytest.raises(GradientUndefinedError,
+                                           match="coincident points 0 and 1:"):
+            gradient(Configuration(pts), make_kernel("power_law", 1))
+
+
+def test_singular_kernel_on_coincident_points_is_inf_under_threads():
+    pts = make_points(600, 2, 6, False)
+    pts[400] = pts[7]
+    with workers(2):
+        total, lo, _ = pair_interaction_sum(pts, PowerLawKernel(-0.5, 2, dim=2))
+    assert total == math.inf and lo == 0.0
 
 
 def dense_single_linkage(pts, gap_factor):
