@@ -56,6 +56,12 @@ def config_number(block: dict, key: str, cast=float, default=None):
         raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
 
 
+def floats(value):
+    """A number, or lists of numbers nested to any depth, as floats: the
+    ``config_number`` cast for list-valued keys."""
+    return [floats(v) for v in value] if isinstance(value, (list, tuple)) else float(value)
+
+
 def load_cloud_csv(path, dim: Optional[int] = None):
     """One point per row, optional trailing weight column (detected against
     the declared dimension)."""
@@ -119,19 +125,22 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
         raise ValidationError("measure block must be a mapping with a 'type' key")
     kind = str(block["type"]).lower()
     if kind == "uniform_box":
-        return UniformBoxMeasure(block["lo"], block["hi"])
+        return UniformBoxMeasure(config_number(block, "lo", floats),
+                                 config_number(block, "hi", floats))
     if kind == "uniform_ball":
-        return UniformBallMeasure(block["center"], float(block["radius"]),
+        return UniformBallMeasure(config_number(block, "center", floats),
+                                  config_number(block, "radius"),
                                   cells_per_axis=block.get("cells_per_axis"))
     if kind == "cloud":
         dim = block.get("dim")
         points, weights = load_cloud_csv(os.path.join(base_dir, block["path"]), dim)
         return AtomicMeasure(points, weights)
     if kind == "atoms":
-        return atoms_measure(block["positions"], block["weights"])
+        return atoms_measure(config_number(block, "positions", floats),
+                             config_number(block, "weights", floats))
     if kind == "density":
         expr = block["expr"]
-        lo = np.atleast_1d(np.asarray(block["lo"], dtype=float))
+        lo = np.atleast_1d(config_number(block, "lo", floats))
         code = _compile_density(expr, len(lo))
 
         def density(points: np.ndarray) -> np.ndarray:
@@ -144,7 +153,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
                 raise ValidationError(f"density expression {expr!r}: {exc}") from None
             return np.broadcast_to(np.asarray(value, dtype=float), (points.shape[0],))
 
-        return DensityBoxMeasure(density, lo, block["hi"],
+        return DensityBoxMeasure(density, lo, config_number(block, "hi", floats),
                                  cells_per_axis=block.get("cells_per_axis"),
                                  normalize=bool(block.get("normalize", False)))
     raise ValidationError(f"unknown measure type {kind!r}")

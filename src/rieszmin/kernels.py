@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GradientUndefinedError, IntegrabilityError, ValidationError
-from .io import config_number
+from .io import config_number, floats
 from .quadrature import (
     refining_cube_integral,
     refining_radial_integral,
@@ -551,7 +551,7 @@ def kernel_from_config(block: dict, base_dir: str = ".") -> Kernel:
 
             radii, values = load_radial_csv(os.path.join(base_dir, block["path"]))
         else:
-            radii = tuple(float(r) for r in block["radii"])
-            values = tuple(float(v) for v in block["values"])
+            radii = config_number(block, "radii", floats)
+            values = config_number(block, "values", floats)
         return TabulatedKernel(radii=radii, values=values, dim=dim, near_origin_radius=r_bar)
     raise ValidationError(f"unknown kernel variant {variant!r}")

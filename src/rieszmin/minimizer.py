@@ -1,9 +1,11 @@
-"""Multi-start first-order minimization of the discrete pair energy.
+"""Multi-start L-BFGS minimization of the discrete pair energy.
 
-Plain gradient descent with Armijo backtracking: the objective can be
-nonsmooth along truncation boundaries, so robustness beats quasi-Newton
-cleverness at desk scale.  A collision guard keeps the line search away
-from coincident points when the kernel is singular at zero, and a periodic
+The two-loop recursion gives the direction of an Armijo backtracking line
+search.  Across a truncation kink, where the objective is nonsmooth, a step
+can show no positive curvature: that empties the memory, and a direction
+that is not downhill gives way to steepest descent, so the run never
+stalls on a bad model.  A collision guard keeps the line search away from
+coincident points when the kernel is singular at zero, and a periodic
 repair move relocates far outliers onto a small grid of low-potential sites
 just outside the bulk, accepted only on strict energy decrease.
 """
@@ -27,6 +29,8 @@ from .kernels import Kernel
 from .measures import TargetMeasure
 from .quantizer import quantize
 
+_LBFGS_MEMORY = 10  # (step, gradient change) pairs the direction remembers
+
 
 @dataclass(frozen=True)
 class StepRule:
@@ -35,7 +39,6 @@ class StepRule:
     initial: float = 1.0
     shrink: float = 0.5
     sufficient_decrease: float = 1e-4
-    grow: float = 2.0
     max_backtracks: int = 60
 
     def __post_init__(self):
@@ -226,10 +229,26 @@ def _initial_points(n: int, dim: int, settings: MinimizeSettings, restart: int,
     return base + 0.1 * spread * rng.normal(size=(n, dim))
 
 
+def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
+    """-H grad by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over the
+    (s, y, 1 / y.s) triples in memory, oldest first; exactly -grad if empty."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alphas.append(rho * float((s * q).sum()))
+        q -= alphas[-1] * y
+    if memory:
+        _, y, rho = memory[-1]
+        q /= rho * float((y * y).sum())  # initial H = (s.y / y.y) I
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * float((y * q).sum())) * s
+    return -q
+
+
 def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
              rng: np.random.Generator):
-    """One gradient-descent run; returns (points, energy, gnorm, iters,
-    converged, history, repair deltas) or None when the run broke down."""
+    """One L-BFGS run; returns (points, energy, gnorm, iters, converged,
+    history, repair deltas) or None when the run broke down."""
     step_rule = settings.step
     energy, min_d, diam = _energy_stats(points, kernel)
     if not math.isfinite(energy):
@@ -237,7 +256,8 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
     history: List[Tuple[float, float]] = []
     repair_deltas: List[float] = []
     guard_needed = kernel.singular_at_zero
-    step = step_rule.initial
+    memory: list = []
+    step = previous_grad = None  # the last accepted step and the gradient it left
     gnorm = math.inf
     iters = 0
     converged = False
@@ -251,6 +271,7 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
                 new_energy, _, diam = _energy_stats(repaired, kernel)
                 repair_deltas.append(new_energy - energy)
                 points, energy = repaired, new_energy
+                memory, step = [], None
         try:
             grad = gradient_of_points(points, kernel)
         except GradientUndefinedError:
@@ -260,18 +281,29 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
         if gnorm <= settings.grad_tol:
             converged = True
             break
-        gg = float((grad * grad).sum())
-        t = min(step * step_rule.grow, 1e12)
+        if step is not None:
+            change = grad - previous_grad
+            curvature = float((step * change).sum())
+            if curvature > 0.0:
+                memory = memory[1 - _LBFGS_MEMORY:] + [(step, change, 1.0 / curvature)]
+            else:  # no positive curvature along the step, e.g. across a truncation kink
+                memory.clear()
+        direction = _lbfgs_direction(grad, memory)
+        slope = float((grad * direction).sum())
+        if not slope < 0.0:  # not a descent direction: steepest descent instead
+            memory.clear()
+            direction, slope = -grad, -float((grad * grad).sum())
+        t = 1.0 if memory else step_rule.initial
         accepted = False
         for _ in range(step_rule.max_backtracks):
-            trial = points - t * grad
+            trial = points + t * direction
             trial_energy, trial_min, trial_diam = _energy_stats(trial, kernel)
             ok = math.isfinite(trial_energy) and trial_min > 0.0
             if ok and guard_needed:
                 ok = trial_min >= settings.collision_guard * max(diam, trial_diam)
-            if ok and trial_energy <= energy - step_rule.sufficient_decrease * t * gg:
+            if ok and trial_energy <= energy + step_rule.sufficient_decrease * t * slope:
+                step, previous_grad = trial - points, grad
                 points, energy, diam = trial, trial_energy, trial_diam
-                step = t
                 accepted = True
                 break
             t *= step_rule.shrink
@@ -288,7 +320,7 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
 
 def minimize(kernel: Kernel, n: int, dim: int,
              settings: Optional[MinimizeSettings] = None) -> MinimizeResult:
-    """Best-over-restarts gradient descent on the discrete pair energy.
+    """Best-over-restarts L-BFGS descent on the discrete pair energy.
 
     Ties between restarts break by lower gradient norm, then restart index.
     The winning configuration is translated so its center of mass sits at

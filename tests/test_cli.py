@@ -259,6 +259,24 @@ class TestParsing:
         ("minimize", {"n": "ten"}, "n"),
         ("minimize", {"minimize": {"init": {"kind": "user"}}}, "path"),
         ("trace", {"n_list": ["ten"]}, "n_list"),
+        ("quantize", {"measure": {"type": "uniform_box", "lo": ["a", 0], "hi": [1, 1]}}, "lo"),
+        ("quantize", {"measure": {"type": "uniform_box", "lo": [0, 0], "hi": [1, None]}}, "hi"),
+        ("quantize", {"measure": {"type": "uniform_ball", "center": ["a", 0], "radius": 1}},
+         "center"),
+        ("quantize", {"measure": {"type": "uniform_ball", "center": [0, 0], "radius": "big"}},
+         "radius"),
+        ("quantize", {"measure": {"type": "atoms", "positions": [[0, 0], ["x", 1]],
+                                  "weights": [0.5, 0.5]}}, "positions"),
+        ("quantize", {"measure": {"type": "atoms", "positions": [[0, 0], [1, 1]],
+                                  "weights": ["half", 0.5]}}, "weights"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": ["a", 0],
+                                  "hi": [1, 1]}}, "lo"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [0, 0],
+                                  "hi": [1, {}]}}, "hi"),
+        ("check-kernel", {"kernel": {"variant": "tabulated", "radii": [0, "one"],
+                                     "values": [1, 0], "dim": 2}}, "radii"),
+        ("check-kernel", {"kernel": {"variant": "tabulated", "radii": [0, 1],
+                                     "values": ["abc", 0], "dim": 2}}, "values"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         cfg = write_config(tmp_path, **block)

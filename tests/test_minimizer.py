@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,18 @@ from rieszmin import (
     MorseKernel,
     PowerLawKernel,
     TabulatedKernel,
+    TruncatedKernel,
     UniformBoxMeasure,
     discrete_energy,
     quantize,
 )
+from rieszmin import minimizer
 from rieszmin.minimizer import (
     InitSpec,
     MinimizeSettings,
     RepairSettings,
+    _descend,
+    _lbfgs_direction,
     energy_trace,
     minimize,
     repair_outliers,
@@ -95,6 +101,50 @@ class TestMinimize:
         settings = MinimizeSettings(restarts=3, max_iters=50,
                                     init=InitSpec(kind="user", config=start))
         assert minimize(k, 4, 2, settings).restarts_used == 2
+
+
+class TestSearchDirection:
+    def test_iterations_to_tolerance(self):
+        # steepest descent needs 862 iterations here
+        res = minimize(PL2, 50, 2, MinimizeSettings(restarts=1, seed=5, grad_tol=1e-7))
+        assert res.converged and res.iterations <= 300
+
+    def test_uphill_memory_falls_back_to_steepest_descent(self):
+        rng = np.random.default_rng(16)
+        grad = rng.normal(size=(7, 2))
+        assert np.array_equal(_lbfgs_direction(grad, []), -grad)
+        # s = -y gives y.s < 0, and the recursion then returns +grad
+        y = rng.normal(size=(7, 2))
+        uphill = [(-y, y, -1.0 / float((y * y).sum()))]
+        assert float((grad * _lbfgs_direction(grad, uphill)).sum()) > 0
+        start = rng.normal(size=(7, 2))
+        settings = MinimizeSettings(max_iters=1, repair=None)
+        steepest = _descend(start, PL2, settings, None)
+        with mock.patch.object(minimizer, "_lbfgs_direction",
+                               lambda g, memory: _lbfgs_direction(g, uphill)):
+            fallback = _descend(start, PL2, settings, None)
+        assert not np.array_equal(steepest[0], start)
+        assert np.array_equal(fallback[0], steepest[0])
+        assert fallback[1] == steepest[1]
+
+    def test_truncation_kink_clears_memory_and_descends(self):
+        k = TruncatedKernel(PowerLawKernel(-1, 2, dim=2), 5.0)
+        sizes = []
+
+        def spy(g, memory):
+            sizes.append(len(memory))
+            return _lbfgs_direction(g, memory)
+
+        settings = MinimizeSettings(restarts=1, seed=17, repair=None, grad_tol=1e-8,
+                                    init=InitSpec(scale=0.05))
+        with mock.patch.object(minimizer, "_lbfgs_direction", spy):
+            res = minimize(k, 20, 2, settings)
+        # without repair moves the memory empties only on a pair with y.s <= 0
+        assert any(a > 0 and b == 0 for a, b in zip(sizes, sizes[1:]))
+        energies = [h[0] for h in res.history]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert res.converged
+        assert discrete_energy(res.config, k).min_pair_distance > 0
 
 
 class TestRepair:

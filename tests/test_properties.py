@@ -2,8 +2,8 @@
 sum permutation-exact, the per-particle potentials reuse the energy's own
 arithmetic, and the pass gives the same bits for any number of worker
 threads as a dense np.linalg.norm reference.  Clouds reach n = 600, so a
-pass spans several blocks.  The cluster classifier is checked against a
-dense single-linkage reference."""
+pass spans several blocks.  The gradient matches central finite differences
+of the energy, and the cluster classifier a dense single-linkage reference."""
 
 import itertools
 import math
@@ -109,6 +109,34 @@ def test_gradient_error_names_the_coincident_input_indices(n, dim, seed, i, j):
     with pytest.raises(GradientUndefinedError,
                        match=f"coincident points {min(i, j)} and {max(i, j)}:"):
         gradient(Configuration(pts), make_kernel("power_law", dim))
+
+
+def spread_points(n, dim, seed, spacing):
+    """n distinct sites of an integer lattice, jittered by up to 0.3 per axis
+    and scaled: every pair stays at least 0.4 * spacing apart."""
+    rng = np.random.default_rng(seed)
+    side = math.ceil(n ** (1.0 / dim)) + 1
+    sites = rng.choice(side ** dim, size=n, replace=False)
+    lattice = np.stack(np.unravel_index(sites, (side,) * dim), axis=1)
+    return spacing * (lattice + rng.uniform(-0.3, 0.3, size=(n, dim)))
+
+
+@SETTINGS
+@given(n=st.integers(2, 12), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       spacing=st.floats(0.2, 2.0), kernel=st.sampled_from(["power_law", "singular", "morse"]))
+@example(n=2, dim=1, seed=0, spacing=1.0, kernel="singular")
+def test_gradient_matches_central_finite_differences(n, dim, seed, spacing, kernel):
+    pts = spread_points(n, dim, seed, spacing)
+    k = PowerLawKernel(-0.5, 2, dim=dim) if kernel == "singular" else make_kernel(kernel, dim)
+    h = 1e-5
+    fd = np.zeros_like(pts)
+    for i, d in itertools.product(range(n), range(dim)):
+        e = np.zeros_like(pts)
+        e[i, d] = h
+        fd[i, d] = (pair_interaction_sum(pts + e, k)[0]
+                    - pair_interaction_sum(pts - e, k)[0]) / (2 * h * n**2)
+    g = gradient(Configuration(pts), k)
+    assert np.abs(g - fd).max() <= 1e-6 * (np.abs(g).max() + 1e-3)
 
 
 @contextmanager
