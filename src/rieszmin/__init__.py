@@ -72,7 +72,6 @@ from .diagnostics import (
     ClusterReport,
     ELReport,
     GammaTrace,
-    ProbeScheme,
     bl_distance,
     cluster_classify,
     el_residual,

@@ -19,8 +19,6 @@ from dataclasses import fields
 import numpy as np
 
 from .diagnostics import (
-    BLScheme,
-    ProbeScheme,
     cluster_classify,
     el_residual,
     gamma_trace,
@@ -133,7 +131,7 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
         repair = RepairSettings(
             bulk_radius_quantile=config_number(repair_block, "bulk_radius_quantile", float, 0.5),
             far_factor=config_number(repair_block, "far_factor", float, 1.5),
-            grid_side=repair_block.get("grid_side"),
+            grid_side=config_number(repair_block, "grid_side", float, None),
         )
     return MinimizeSettings(
         restarts=config_number(block, "restarts", int, 16),
@@ -286,8 +284,7 @@ def _cmd_diagnose(args) -> int:
         raise UsageError("diagnose needs a configuration CSV (argument or config key)")
     cfg = load_configuration_csv(cfg_path)
     diag_block = dict(config.get("diagnostics", {}))
-    probe = ProbeScheme(seed=seed)
-    el = el_residual(cfg, kernel, probe)
+    el = el_residual(cfg, kernel, seed)
     clusters = cluster_classify(cfg, config_number(diag_block, "gap_factor", float, 5.0))
     payload = {
         "el": el.as_dict(),

@@ -10,8 +10,8 @@ minimized energies against the continuum value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,24 +29,14 @@ from .measures import TargetMeasure
 from .minimizer import InitSpec, MinimizeSettings, minimize
 from .quantizer import quantize
 
+_PROBES_PER_SPHERE = 32  # el_residual's random probe directions on each sphere
+_PROBE_RADIUS_FACTORS = (1.5, 2.0, 4.0)  # the spheres' radii over the configuration's
+_BL_MEASURE_POINTS = 16384  # size of bl_distance's equal-mass discretization of a measure
+
 
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeScheme:
-    """Probe points on spheres around the configuration, used to test that
-    the potential off the support does not dip below the energy."""
-
-    radius_factors: Tuple[float, ...] = (1.5, 2.0, 4.0)
-    count_per_radius: int = 32
-    seed: int = 0
-
-    def describe(self) -> str:
-        return (f"{self.count_per_radius} probes per sphere at "
-                f"{list(self.radius_factors)} x configuration radius, seed {self.seed}")
 
 
 @dataclass
@@ -66,17 +56,16 @@ class ELReport:
         }
 
 
-def el_residual(cfg: Configuration, kernel: Kernel,
-                probes: Optional[ProbeScheme] = None) -> ELReport:
+def el_residual(cfg: Configuration, kernel: Kernel, seed: int = 0) -> ELReport:
     """Per-particle self-excluded potentials and their spread.
 
     They come from the same canonical-order pass as the discrete energy, so
     their mean equals discrete_energy(cfg, kernel).value bit for bit; at a
     minimizer the spread shrinks as the discrete first-order conditions
     equalize the potentials.  Probe points on spheres around the cloud
-    report the smallest exterior gap potential(probe) - energy.
+    report the smallest exterior gap potential(probe) - energy; ``seed``
+    draws their directions.
     """
-    probes = probes or ProbeScheme()
     if kernel.dim != cfg.dim:
         raise ValidationError("kernel and configuration dimensions differ")
     pts = cfg.points
@@ -91,16 +80,19 @@ def el_residual(cfg: Configuration, kernel: Kernel,
     center = pts.mean(axis=0)
     radius = float(np.linalg.norm(pts - center, axis=1).max())
     radius = max(radius, 1e-9)
-    rng = np.random.default_rng(probes.seed)
+    rng = np.random.default_rng(seed)
     gap = math.inf
-    for factor in probes.radius_factors:
-        direction = rng.normal(size=(probes.count_per_radius, cfg.dim))
+    for factor in _PROBE_RADIUS_FACTORS:
+        direction = rng.normal(size=(_PROBES_PER_SPHERE, cfg.dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         sites = center[None, :] + factor * radius * direction
         values = potential_grid(pts, 1.0 / n, kernel, sites)
         gap = min(gap, float(np.min(values) - mean))
     return ELReport(mean_potential=mean, potential_spread=spread,
-                    exterior_min_gap=gap, probe_scheme=probes.describe(),
+                    exterior_min_gap=gap,
+                    probe_scheme=(f"{_PROBES_PER_SPHERE} probes per sphere at "
+                                  f"{list(_PROBE_RADIUS_FACTORS)} x configuration radius, "
+                                  f"seed {seed}"),
                     particle_potentials=psi)
 
 
@@ -231,16 +223,15 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
 @dataclass(frozen=True)
 class BLScheme:
     slices: int = 64
-    measure_points: int = 16384
     seed: int = 0
 
 
-def _as_atoms(obj, scheme: BLScheme):
+def _as_atoms(obj):
     if isinstance(obj, Configuration):
         n = obj.n
         return obj.points, np.full(n, 1.0 / n)
     if isinstance(obj, TargetMeasure):
-        return obj.discretize(scheme.measure_points)
+        return obj.discretize(_BL_MEASURE_POINTS)
     raise ValidationError("bl_distance arguments must be configurations or target measures")
 
 
@@ -269,8 +260,8 @@ def bl_distance(a, b, scheme: Optional[BLScheme] = None) -> float:
     discretization, so the estimate is reproducible for a fixed scheme.
     """
     scheme = scheme or BLScheme()
-    pts_a, w_a = _as_atoms(a, scheme)
-    pts_b, w_b = _as_atoms(b, scheme)
+    pts_a, w_a = _as_atoms(a)
+    pts_b, w_b = _as_atoms(b)
     if pts_a.shape[1] != pts_b.shape[1]:
         raise ValidationError("dimension mismatch")
     dim = pts_a.shape[1]
@@ -313,21 +304,7 @@ class GammaTrace:
     ell_p_estimate: Optional[float]
 
     def as_dict(self) -> dict:
-        return {
-            "target_energy": self.target_energy,
-            "target_std_error": self.target_std_error,
-            "ell_p_estimate": self.ell_p_estimate,
-            "rows": [
-                {
-                    "n": r.n,
-                    "energy_quantized": r.energy_quantized,
-                    "energy_minimized": r.energy_minimized,
-                    "bl_distance": r.bl_distance,
-                    "diameter": r.diameter,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],

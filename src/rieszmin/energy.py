@@ -15,7 +15,7 @@ import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -97,11 +97,7 @@ class EnergyValue:
     min_pair_distance: float
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "pair_count": self.pair_count,
-            "min_pair_distance": self.min_pair_distance,
-        }
+        return asdict(self)
 
 
 def _check_kernel_dim(kernel: Kernel, dim: int):

@@ -22,6 +22,7 @@ from .measures import (
 )
 
 DEFAULT_SEED = 20240801
+_REQUIRED = object()  # config_number's default for a key that must be present
 
 # besides numeric literals, the coordinate names and calls np.<ufunc>(...) of
 # _DENSITY_UFUNCS, the only syntax a density expression may use
@@ -46,10 +47,13 @@ def load_json_config(path) -> dict:
     return data
 
 
-def config_number(block: dict, key: str, cast=float, default=None):
+def config_number(block: dict, key: str, cast=float, default=_REQUIRED):
     """block[key] converted by ``cast`` (``default`` when given and the key is
-    absent); a value that does not convert is a UsageError naming the key."""
-    value = block[key] if default is None else block.get(key, default)
+    absent; None, unconverted, for an optional key that is absent or null); a
+    value that does not convert is a UsageError naming the key."""
+    value = block[key] if default is _REQUIRED else block.get(key, default)
+    if value is None and default is None:
+        return None
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: int(1e400)
@@ -130,9 +134,9 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
     if kind == "uniform_ball":
         return UniformBallMeasure(config_number(block, "center", floats),
                                   config_number(block, "radius"),
-                                  cells_per_axis=block.get("cells_per_axis"))
+                                  cells_per_axis=config_number(block, "cells_per_axis", int, None))
     if kind == "cloud":
-        dim = block.get("dim")
+        dim = config_number(block, "dim", int, None)
         points, weights = load_cloud_csv(os.path.join(base_dir, block["path"]), dim)
         return AtomicMeasure(points, weights)
     if kind == "atoms":
@@ -154,7 +158,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
             return np.broadcast_to(np.asarray(value, dtype=float), (points.shape[0],))
 
         return DensityBoxMeasure(density, lo, config_number(block, "hi", floats),
-                                 cells_per_axis=block.get("cells_per_axis"),
+                                 cells_per_axis=config_number(block, "cells_per_axis", int, None),
                                  normalize=bool(block.get("normalize", False)))
     raise ValidationError(f"unknown measure type {kind!r}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -322,14 +322,9 @@ class TabulatedKernel(Kernel):
         return out
 
     @property
-    def singular_at_zero(self) -> bool:  # type: ignore[override]
-        return self.radii[0] == 0.0 and not math.isfinite(self.values[0])
-
-    @property
     def value_at_zero(self) -> float:  # type: ignore[override]
-        if self.radii[0] == 0.0:
-            return float(self.values[0])
-        return float(self.radial(np.asarray(0.0)))
+        # the sample at radius 0, or the clamp value of a grid starting above it
+        return float(self.values[0])
 
     def describe(self) -> dict:
         return {
@@ -391,29 +386,7 @@ class AssumptionReport:
         return ok
 
     def as_dict(self) -> dict:
-        return {
-            "h1_lower_bound": self.h1_lower_bound,
-            "h1_lower_bound_finite": self.h1_lower_bound_finite,
-            "h1_local_integrability": self.h1_local_integrability,
-            "h1_integral_abs": self.h1_integral_abs,
-            "h2_liminf_at_infinity": self.h2_liminf_at_infinity,
-            "h2_pass": self.h2_pass,
-            "h3_monotone_near_origin": self.h3_monotone_near_origin,
-            "h4_witness_energy": self.h4_witness_energy,
-            "h4_std_error": self.h4_std_error,
-            "h4_pass": self.h4_pass,
-            "passed": self.passed,
-            "scheme": {
-                "radial_samples": self.scheme.radial_samples,
-                "r_min": self.scheme.r_min,
-                "r_max": self.scheme.r_max,
-                "far_radii": list(self.scheme.far_radii),
-                "h2_tolerance": self.scheme.h2_tolerance,
-                "h3_pairs": self.scheme.h3_pairs,
-                "h4_samples": self.scheme.h4_samples,
-                "seed": self.scheme.seed,
-            },
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_assumptions(kernel: Kernel, witness=None,
@@ -533,7 +506,7 @@ def kernel_from_config(block: dict, base_dir: str = ".") -> Kernel:
         raise ValidationError("kernel block must be a mapping with a 'variant' key")
     variant = str(block["variant"]).lower()
     dim = config_number(block, "dim", int, 2)
-    r_bar = block.get("near_origin_radius")
+    r_bar = config_number(block, "near_origin_radius", float, None)
     if variant in ("power_law", "powerlaw", "power-law"):
         return PowerLawKernel(alpha=config_number(block, "alpha"),
                               beta=config_number(block, "beta"),

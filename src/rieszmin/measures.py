@@ -72,11 +72,9 @@ class Restriction(abc.ABC):
     def median_point(self) -> np.ndarray:
         ...
 
-    def representative(self, kind: str = "mean") -> np.ndarray:
+    def representative(self) -> np.ndarray:
         """Conditional mean with a per-axis median fallback when the mean
         is not finite (heavy tails on unbounded cells)."""
-        if kind == "median":
-            return self.median_point()
         point = self.mean_point()
         if np.all(np.isfinite(point)):
             return point
@@ -372,6 +370,26 @@ class UniformBoxMeasure(ProductQuantileMeasure):
                 "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
+def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells_per_axis: int):
+    """The cells_per_axis^dim grid of cells on the box [lo, hi] and a Gauss
+    rule for them: (cell centers, per-axis cell widths, the 4^dim tensor
+    nodes on [-1, 1]^dim, their weights)."""
+    dim = lo.size
+    edges = [np.linspace(lo[k], hi[k], cells_per_axis + 1) for k in range(dim)]
+    centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
+    grids = np.meshgrid(*centers, indexing="ij")
+    cell_centers = np.stack([g.reshape(-1) for g in grids], axis=1)
+    steps = np.array([e[1] - e[0] for e in edges])
+
+    nodes, gw = _gauss(4)
+    offsets = np.meshgrid(*[nodes] * dim, indexing="ij")
+    offs = np.stack([o.reshape(-1) for o in offsets], axis=1)  # (4^dim, dim)
+    wts = np.ones(offs.shape[0])
+    for g in np.meshgrid(*[gw] * dim, indexing="ij"):
+        wts = wts * g.reshape(-1)
+    return cell_centers, steps, offs, wts
+
+
 class DensityBoxMeasure(AtomicMeasure):
     """A density on a box, held as a fine-grid atom surrogate.
 
@@ -392,19 +410,7 @@ class DensityBoxMeasure(AtomicMeasure):
         dim = lo.size
         if cells_per_axis is None:
             cells_per_axis = {1: 4096, 2: 256, 3: 40}.get(dim, 16)
-        edges = [np.linspace(lo[k], hi[k], cells_per_axis + 1) for k in range(dim)]
-        centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
-        steps = np.array([e[1] - e[0] for e in edges])
-
-        nodes, gw = _gauss(4)
-        offsets = np.meshgrid(*[nodes] * dim, indexing="ij")
-        offs = np.stack([o.reshape(-1) for o in offsets], axis=1)  # (4^dim, dim)
-        wts = np.ones(offs.shape[0])
-        for g in np.meshgrid(*[gw] * dim, indexing="ij"):
-            wts = wts * g.reshape(-1)
-
-        grids = np.meshgrid(*centers, indexing="ij")
-        cell_centers = np.stack([g.reshape(-1) for g in grids], axis=1)
+        cell_centers, steps, offs, wts = _cell_grid(lo, hi, cells_per_axis)
         masses = np.zeros(cell_centers.shape[0])
         cell_vol = float(np.prod(steps / 2.0))
         for j in range(offs.shape[0]):
@@ -451,20 +457,9 @@ class UniformBallMeasure(AtomicMeasure):
         dim = center.size
         if cells_per_axis is None:
             cells_per_axis = {1: 2048, 2: 128, 3: 32}.get(dim, 12)
-        edges = [np.linspace(c - radius, c + radius, cells_per_axis + 1) for c in center]
-        centers_1d = [0.5 * (e[1:] + e[:-1]) for e in edges]
+        cell_centers, _, offs, wts = _cell_grid(center - radius, center + radius, cells_per_axis)
         step = 2.0 * radius / cells_per_axis
-
-        nodes, gw = _gauss(4)
-        offsets = np.meshgrid(*[nodes] * dim, indexing="ij")
-        offs = np.stack([o.reshape(-1) for o in offsets], axis=1)
-        wts = np.ones(offs.shape[0])
-        for g in np.meshgrid(*[gw] * dim, indexing="ij"):
-            wts = wts * g.reshape(-1)
         wts = wts / wts.sum()
-
-        grids = np.meshgrid(*centers_1d, indexing="ij")
-        cell_centers = np.stack([g.reshape(-1) for g in grids], axis=1)
         masses = np.zeros(cell_centers.shape[0])
         for j in range(offs.shape[0]):
             pts = cell_centers + offs[j] * (step / 2.0)

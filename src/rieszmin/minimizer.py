@@ -20,6 +20,7 @@ import numpy as np
 
 from .energy import (
     Configuration,
+    _pair_pass,
     gradient_of_points,
     pair_interaction_sum,
     potential_grid,
@@ -30,6 +31,9 @@ from .measures import TargetMeasure
 from .quantizer import quantize
 
 _LBFGS_MEMORY = 10  # (step, gradient change) pairs the direction remembers
+_MAX_BACKTRACKS = 60  # step shrinks per line search before the run stops
+_COLLISION_GUARD = 1e-9  # least pair distance a step may leave, over the diameter
+_OUTWARD_OFFSET = 0.1  # repair sites sit this fraction beyond the farthest bulk point
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,6 @@ class StepRule:
     initial: float = 1.0
     shrink: float = 0.5
     sufficient_decrease: float = 1e-4
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if not (0 < self.shrink < 1 and self.initial > 0 and self.sufficient_decrease > 0):
@@ -63,7 +66,6 @@ class RepairSettings:
     bulk_radius_quantile: float = 0.5
     far_factor: float = 1.5
     grid_side: Optional[float] = None
-    outward_offset: float = 0.1
 
     def __post_init__(self):
         if not (0.0 < self.bulk_radius_quantile < 1.0):
@@ -103,7 +105,6 @@ class MinimizeSettings:
     step: StepRule = field(default_factory=StepRule)
     repair: Optional[RepairSettings] = field(default_factory=RepairSettings)
     repair_period: int = 50
-    collision_guard: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -145,8 +146,7 @@ def _max_row_norm(g: np.ndarray) -> float:
 
 
 def repair_outliers(cfg: Configuration, kernel: Kernel,
-                    settings: Optional[RepairSettings] = None,
-                    seed: int = 0) -> Configuration:
+                    settings: Optional[RepairSettings] = None) -> Configuration:
     """Relocate far outliers onto low-potential grid sites near the bulk.
 
     Returns the input configuration unchanged when there are no outliers,
@@ -156,14 +156,17 @@ def repair_outliers(cfg: Configuration, kernel: Kernel,
     settings = settings or RepairSettings()
     if cfg.n < 2:
         return cfg
-    new_points = _repair_points(cfg.points, kernel, settings)
-    if new_points is None:
+    energy, _, _ = _energy_stats(cfg.points, kernel)
+    repaired = _repair_points(cfg.points, kernel, settings, energy)
+    if repaired is None:
         return cfg
-    return Configuration(new_points)
+    return Configuration(repaired[0])
 
 
-def _repair_points(points: np.ndarray, kernel: Kernel,
-                   settings: RepairSettings) -> Optional[np.ndarray]:
+def _repair_points(points: np.ndarray, kernel: Kernel, settings: RepairSettings,
+                   energy: float) -> Optional[Tuple[np.ndarray, float, float]]:
+    """The repair move from points at the given energy: (candidate, its energy,
+    its diameter), or None when there is no move or it does not lower the energy."""
     n, dim = points.shape
     center = points.mean(axis=0)
     dists = np.linalg.norm(points - center, axis=1)
@@ -184,7 +187,7 @@ def _repair_points(points: np.ndarray, kernel: Kernel,
         anchor_dir[0] = 1.0
         anchor = bulk_center + radius * anchor_dir
     else:
-        anchor = bulk_center + (1.0 + settings.outward_offset) * (bulk[far_idx] - bulk_center)
+        anchor = bulk_center + (1.0 + _OUTWARD_OFFSET) * (bulk[far_idx] - bulk_center)
 
     side = settings.grid_side
     if side is None:
@@ -203,10 +206,9 @@ def _repair_points(points: np.ndarray, kernel: Kernel,
 
     candidate = points.copy()
     candidate[outliers] = chosen
-    old_energy, _, _ = _energy_stats(points, kernel)
-    new_energy, _, _ = _energy_stats(candidate, kernel)
-    if new_energy < old_energy:
-        return candidate
+    new_energy, _, new_diam = _energy_stats(candidate, kernel)
+    if new_energy < energy:
+        return candidate, new_energy, new_diam
     return None
 
 
@@ -266,11 +268,10 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
         iters = it + 1
         if settings.repair is not None and settings.repair_period > 0 \
                 and it > 0 and it % settings.repair_period == 0:
-            repaired = _repair_points(points, kernel, settings.repair)
+            repaired = _repair_points(points, kernel, settings.repair, energy)
             if repaired is not None:
-                new_energy, _, diam = _energy_stats(repaired, kernel)
-                repair_deltas.append(new_energy - energy)
-                points, energy = repaired, new_energy
+                repair_deltas.append(repaired[1] - energy)
+                points, energy, diam = repaired
                 memory, step = [], None
         try:
             grad = gradient_of_points(points, kernel)
@@ -295,12 +296,12 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
             direction, slope = -grad, -float((grad * grad).sum())
         t = 1.0 if memory else step_rule.initial
         accepted = False
-        for _ in range(step_rule.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = points + t * direction
             trial_energy, trial_min, trial_diam = _energy_stats(trial, kernel)
             ok = math.isfinite(trial_energy) and trial_min > 0.0
             if ok and guard_needed:
-                ok = trial_min >= settings.collision_guard * max(diam, trial_diam)
+                ok = trial_min >= _COLLISION_GUARD * max(diam, trial_diam)
             if ok and trial_energy <= energy + step_rule.sufficient_decrease * t * slope:
                 step, previous_grad = trial - points, grad
                 points, energy, diam = trial, trial_energy, trial_diam
@@ -385,14 +386,13 @@ class EnergyTrace:
 
 
 def energy_trace(kernel: Kernel, dim: int, n_list,
-                 settings: Optional[MinimizeSettings] = None,
-                 warm_start: bool = True) -> EnergyTrace:
+                 settings: Optional[MinimizeSettings] = None) -> EnergyTrace:
     """Ground-state energy estimates along an increasing list of n.
 
-    With warm_start, each run after the first seeds one restart from the
-    quantizer applied to the previous minimizer's empirical measure.  The
-    outward_drift flag marks support diameters that keep growing, the
-    practical symptom of discrete minimizers failing to exist.
+    Each run after the first seeds one restart from the quantizer applied
+    to the previous minimizer's empirical measure.  The outward_drift flag
+    marks support diameters that keep growing, the practical symptom of
+    discrete minimizers failing to exist.
     """
     n_list = list(n_list)
     if not n_list:
@@ -404,14 +404,14 @@ def energy_trace(kernel: Kernel, dim: int, n_list,
     previous: Optional[Configuration] = None
     for n in n_list:
         run_settings = settings
-        if warm_start and previous is not None and previous.n >= 2:
+        if previous is not None and previous.n >= 2:
             from .measures import AtomicMeasure
 
             cloud = AtomicMeasure(previous.points)
             run_settings = replace(settings, init=InitSpec(kind="quantizer-seeded",
                                                            measure=cloud))
         result = minimize(kernel, n, dim, run_settings)
-        _, _, diam = _energy_stats(result.config.points, kernel)
+        _, _, diam = _pair_pass(result.config.points, result.config.points, extent=True)
         entries.append(TraceEntry(n=n, energy=result.energy,
                                   grad_norm=result.grad_norm, diameter=diam))
         previous = result.config

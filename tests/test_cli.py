@@ -206,6 +206,49 @@ class TestTraceDeterminism:
         assert result_payload(out1 / "trace.json") == result_payload(out2 / "trace.json")
 
 
+class TestReportSchema:
+    """The exact key sets of the result payloads, so a report keeps its schema."""
+
+    def test_assumptions_keys(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["check-kernel", "--config", cfg, "--out", str(out)]) == 0
+        payload = result_payload(out / "assumptions.json")
+        assert set(payload) == {
+            "h1_lower_bound", "h1_lower_bound_finite", "h1_local_integrability",
+            "h1_integral_abs", "h2_liminf_at_infinity", "h2_pass",
+            "h3_monotone_near_origin", "h4_witness_energy", "h4_std_error", "h4_pass",
+            "passed", "scheme"}
+        assert set(payload["scheme"]) == {"radial_samples", "r_min", "r_max", "far_radii",
+                                          "h2_tolerance", "h3_pairs", "h4_samples", "seed"}
+        assert payload["scheme"]["far_radii"] == [2.0 ** k for k in range(13)]
+
+    def test_trace_keys(self, tmp_path):
+        cfg = write_config(tmp_path, n_list=[9])
+        out = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+        payload = result_payload(out / "trace.json")
+        assert set(payload) == {"target_energy", "target_std_error", "ell_p_estimate", "rows"}
+        assert [set(row) for row in payload["rows"]] == [
+            {"n", "energy_quantized", "energy_minimized", "bl_distance", "diameter"}]
+
+    def test_quantize_energy_keys(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+        energy = result_payload(out / "quantize.json")["energy"]
+        assert set(energy) == {"value", "pair_count", "min_pair_distance"}
+
+    def test_diagnose_probe_scheme(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_text("2,2\n0.0,0.0\n1.0,0.0\n")
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", cfg, str(path), "--out", str(out)]) == 0
+        assert result_payload(out / "diagnose.json")["el"]["probe_scheme"] == (
+            "32 probes per sphere at [1.5, 2.0, 4.0] x configuration radius, seed 11")
+
+
 class TestParsing:
     def test_missing_config_file(self, capsys):
         assert main(["quantize", "--config", "/does/not/exist.json"]) == 1
@@ -277,8 +320,17 @@ class TestParsing:
                                      "values": [1, 0], "dim": 2}}, "radii"),
         ("check-kernel", {"kernel": {"variant": "tabulated", "radii": [0, 1],
                                      "values": ["abc", 0], "dim": 2}}, "values"),
+        ("check-kernel", {"kernel": {"variant": "power_law", "alpha": 1.0, "beta": 2.0,
+                                     "near_origin_radius": "abc"}}, "near_origin_radius"),
+        ("quantize", {"measure": {"type": "uniform_ball", "center": [0, 0], "radius": 1,
+                                  "cells_per_axis": "many"}}, "cells_per_axis"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [0, 0],
+                                  "hi": [1, 1], "cells_per_axis": "many"}}, "cells_per_axis"),
+        ("minimize", {"minimize": {"repair": {"grid_side": "wide"}}}, "grid_side"),
+        ("quantize", {"measure": {"type": "cloud", "path": "cloud.csv", "dim": "two"}}, "dim"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
+        (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
         cfg = write_config(tmp_path, **block)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

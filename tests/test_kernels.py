@@ -60,6 +60,14 @@ class TestEvaluate:
     def test_singular_value_at_zero(self):
         assert PowerLawKernel(-1, 2, dim=3).evaluate([0.0, 0.0, 0.0]) == math.inf
         assert PowerLawKernel(1, 2, dim=3).evaluate([0.0, 0.0, 0.0]) == 0.0
+        # a sample at radius 0, finite or +inf, and a grid that starts above 0
+        for radii, values, singular in (((0.0, 0.5, 2.0), (3.0, 1.0, 0.25), False),
+                                        ((0.0, 0.5, 2.0), (math.inf, 1.0, 0.25), True),
+                                        ((0.5, 1.0, 2.0), (3.0, 1.0, 0.25), False)):
+            k = TabulatedKernel(radii, values)
+            assert k.value_at_zero == float(k.radial(0.0)) == values[0]
+            assert k.singular_at_zero is singular
+            assert k.evaluate([0.0, 0.0]) == values[0]
 
     def test_dimension_mismatch_rejected(self):
         k = PowerLawKernel(1, 2, dim=2)

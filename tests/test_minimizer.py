@@ -157,7 +157,7 @@ class TestRepair:
         pts = np.vstack([base.points, [[100.0, 0.0]]])
         cfg = Configuration(pts)
         before = discrete_energy(cfg, PL2).value
-        repaired = repair_outliers(cfg, PL2, seed=0)
+        repaired = repair_outliers(cfg, PL2)
         after = discrete_energy(repaired, PL2).value
         assert after < before
         assert repaired.n == cfg.n and repaired.dim == cfg.dim
