@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .energy import (
     worker_threads,
 )
 from .errors import NumericalError, UsageError, ValidationError
-from .io import DEFAULT_SEED, config_number, dump_report, load_json_config, measure_from_config
+from .io import (DEFAULT_SEED, config_number, dump_report, load_json_config,
+                 measure_from_config, whole)
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
 from .minimizer import (
     InitSpec,
@@ -105,8 +107,31 @@ def _measure(config, base_dir, key="measure", required=True):
         raise UsageError(f"config '{key}' block is missing key {exc}") from None
 
 
+# a setting's cast by the type of its default (None: an optional float; MISSING: a sub-block)
+_CASTS = {bool: bool, int: int, float: float, str: str, type(None): float,
+          tuple: lambda value: tuple(map(float, value)), type(MISSING): lambda block: block}
+
+
+def _settings(block, name, of, names=()) -> dict:
+    """The keys present in settings block ``name`` (absent or null: empty), each
+    cast by the type of its default: a field of the dataclass ``of`` but the seed
+    the caller sets, or a parameter ``names`` of the function ``of``."""
+    if is_dataclass(of):
+        defaults = {f.name: f.default for f in fields(of) if f.name != "seed"}
+    else:
+        defaults = {key: inspect.signature(of).parameters[key].default for key in names}
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise UsageError(f"config {name!r} block must be a mapping")
+    unknown = sorted(set(block) - set(defaults))
+    if unknown:
+        raise UsageError(f"config {name!r} block has unknown key(s) {unknown}")
+    return {key: config_number(block, key, _CASTS[type(defaults[key])], defaults[key])
+            for key in block}
+
+
 def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
-    block = dict(config.get("minimize", {}))
+    block = _settings(config.get("minimize"), "minimize", MinimizeSettings)
     init_block = dict(block.get("init", {}))
     kind = init_block.get("kind", "random-gaussian")
     if kind == "quantizer-seeded":
@@ -118,31 +143,11 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
         init = InitSpec(kind=kind, config=start)
     else:
         init = InitSpec(kind=kind, scale=config_number(init_block, "scale", float, 1.0))
-    step_block = dict(block.get("step", {}))
-    step = StepRule(
-        initial=config_number(step_block, "initial", float, 1.0),
-        shrink=config_number(step_block, "shrink", float, 0.5),
-        sufficient_decrease=config_number(step_block, "sufficient_decrease", float, 1e-4),
-    )
-    repair_block = block.get("repair", {})
-    repair = None
-    if repair_block is not None:
-        repair_block = dict(repair_block)
-        repair = RepairSettings(
-            bulk_radius_quantile=config_number(repair_block, "bulk_radius_quantile", float, 0.5),
-            far_factor=config_number(repair_block, "far_factor", float, 1.5),
-            grid_side=config_number(repair_block, "grid_side", float, None),
-        )
-    return MinimizeSettings(
-        restarts=config_number(block, "restarts", int, 16),
-        max_iters=config_number(block, "max_iters", int, 2000),
-        grad_tol=config_number(block, "grad_tol", float, 1e-9),
-        init=init,
-        step=step,
-        repair=repair,
-        repair_period=config_number(block, "repair_period", int, 50),
-        seed=seed,
-    )
+    step = StepRule(**_settings(block.get("step"), "minimize.step", StepRule))
+    repair = block.get("repair", {})  # null turns the repair move off
+    if repair is not None:
+        repair = RepairSettings(**_settings(repair, "minimize.repair", RepairSettings))
+    return MinimizeSettings(**dict(block, init=init, step=step, repair=repair), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +159,8 @@ def _cmd_check_kernel(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
     kernel = _kernel(config, base_dir)
     witness = _measure(config, base_dir, key="witness", required=False)
-    scheme_block = dict(config.get("check_scheme", {}))
-    unknown = sorted(set(scheme_block) - {f.name for f in fields(CheckScheme)} - {"seed"})
-    if unknown:  # the seed comes from --seed or the top-level 'seed'
-        raise UsageError(f"config 'check_scheme' block has unknown key(s) {unknown}")
-    scheme = CheckScheme(seed=seed, **scheme_block)
+    scheme = CheckScheme(**_settings(config.get("check_scheme"), "check_scheme", CheckScheme),
+                         seed=seed)
     report = check_assumptions(kernel, witness, scheme)
     for line in (
         f"lower bound        : {report.h1_lower_bound:.6g} "
@@ -187,10 +189,8 @@ def _cmd_quantize(args) -> int:
     kernel = _kernel(config, base_dir) if "kernel" in config else None
     if "n" not in config:
         raise UsageError("config is missing 'n'")
-    block = dict(config.get("quantize", {}))
-    result = quantize(measure, config_number(config, "n", int), kernel,
-                      strategy=block.get("strategy", "hybrid" if kernel else "conditional-mean"),
-                      k=config_number(block, "k", int, 32), seed=seed)
+    block = _settings(config.get("quantize"), "quantize", quantize, ("strategy", "k"))
+    result = quantize(measure, config_number(config, "n", int), kernel, **block, seed=seed)
     save_configuration_csv(result.config, os.path.join(out_dir, "quantized.csv"))
     sidecar = result.sidecar()
     if kernel is not None:
@@ -235,18 +235,11 @@ def _cmd_trace(args) -> int:
     measure = _measure(config, base_dir)
     if not config.get("n_list"):
         raise UsageError("config must provide a nonempty 'n_list'")
-    n_list = config_number(config, "n_list", lambda ns: [int(n) for n in ns])
-    block = dict(config.get("trace", {}))
+    n_list = config_number(config, "n_list", lambda ns: [whole(n) for n in ns])
+    block = _settings(config.get("trace"), "trace", gamma_trace,
+                      ("with_minimization", "strategy", "k", "mc_samples"))
     settings = _minimize_settings(config, seed, base_dir)
-    trace = gamma_trace(
-        kernel, measure, n_list,
-        with_minimization=bool(block.get("with_minimization", False)),
-        strategy=block.get("strategy", "hybrid"),
-        draws=config_number(block, "k", int, 32),
-        seed=seed,
-        minimize_settings=settings,
-        mc_samples=config_number(block, "mc_samples", int, 200_000),
-    )
+    trace = gamma_trace(kernel, measure, n_list, **block, seed=seed, minimize_settings=settings)
     csv_path = os.path.join(out_dir, "trace.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -283,9 +276,9 @@ def _cmd_diagnose(args) -> int:
     if not cfg_path:
         raise UsageError("diagnose needs a configuration CSV (argument or config key)")
     cfg = load_configuration_csv(cfg_path)
-    diag_block = dict(config.get("diagnostics", {}))
+    block = _settings(config.get("diagnostics"), "diagnostics", cluster_classify, ("gap_factor",))
     el = el_residual(cfg, kernel, seed)
-    clusters = cluster_classify(cfg, config_number(diag_block, "gap_factor", float, 5.0))
+    clusters = cluster_classify(cfg, **block)
     payload = {
         "el": el.as_dict(),
         "clusters": clusters.as_dict(),

@@ -309,9 +309,8 @@ class GammaTrace:
 
 def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
                 with_minimization: bool = False,
-                strategy: str = "hybrid", draws: int = 32, seed: int = 0,
+                strategy: str = "hybrid", k: int = 32, seed: int = 0,
                 minimize_settings: Optional[MinimizeSettings] = None,
-                bl_scheme: Optional[BLScheme] = None,
                 mc_samples: int = 200_000) -> GammaTrace:
     """Quantize the measure along n_list and track energy and distance.
 
@@ -324,12 +323,11 @@ def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
     n_list = list(n_list)
     if not n_list:
         raise ValidationError("n_list must not be empty")
-    bl_scheme = bl_scheme or BLScheme()
     rows: List[TraceRow] = []
     for n in n_list:
-        qr = quantize(mu, n, kernel, strategy=strategy, k=draws, seed=seed)
+        qr = quantize(mu, n, kernel, strategy=strategy, k=k, seed=seed)
         e_q = discrete_energy(qr.config, kernel).value
-        dist = bl_distance(qr.config, mu, bl_scheme)
+        dist = bl_distance(qr.config, mu)
         diam = support_diameter(qr.config)
         e_m = None
         if with_minimization:

@@ -50,14 +50,21 @@ def load_json_config(path) -> dict:
 def config_number(block: dict, key: str, cast=float, default=_REQUIRED):
     """block[key] converted by ``cast`` (``default`` when given and the key is
     absent; None, unconverted, for an optional key that is absent or null); a
-    value that does not convert is a UsageError naming the key."""
+    value that does not convert (for int, a fraction too) is a UsageError naming the key."""
     value = block[key] if default is _REQUIRED else block.get(key, default)
     if value is None and default is None:
         return None
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(1e400)
+        return (whole if cast is int else cast)(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
         raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
+
+
+def whole(value) -> int:
+    """int(value), refusing a fraction that int() would drop: the int cast."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def floats(value):

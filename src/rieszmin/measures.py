@@ -264,9 +264,6 @@ class TargetMeasure(abc.ABC):
         """Deterministic weighted-atom stand-in for distance estimation:
         (points, weights)."""
 
-    def describe(self) -> dict:
-        return {"type": self.kind, "dim": self.dim}
-
 
 class AtomicMeasure(TargetMeasure):
     """A finite weighted atom cloud (empirical sample clouds, atom mixes)."""
@@ -308,9 +305,6 @@ class AtomicMeasure(TargetMeasure):
 
     def discretize(self, target_count: int):
         return self.points, self.weights
-
-    def describe(self) -> dict:
-        return {"type": self.kind, "dim": self.dim, "atoms": len(self.weights)}
 
 
 class ProductQuantileMeasure(TargetMeasure):
@@ -358,16 +352,11 @@ class UniformBoxMeasure(ProductQuantileMeasure):
             raise ValidationError("box corners must be matching 1-d arrays")
         if np.any(hi <= lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
             raise ValidationError("box must have finite positive extent on every axis")
-        self.lo, self.hi = lo, hi
 
         def make_q(a: float, b: float):
             return lambda u: a + np.asarray(u, dtype=float) * (b - a)
 
         super().__init__([make_q(float(a), float(b)) for a, b in zip(lo, hi)])
-
-    def describe(self) -> dict:
-        return {"type": self.kind, "dim": self.dim,
-                "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells_per_axis: int):
@@ -430,15 +419,11 @@ class DensityBoxMeasure(AtomicMeasure):
         keep = masses > 0
         super().__init__(cell_centers[keep], masses[keep] / total)
         self._steps = steps
-        self._resolution = cells_per_axis
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.weights), size=count, p=self.weights)
         jitter = rng.uniform(-0.5, 0.5, size=(count, self.dim)) * self._steps
         return self.points[idx] + jitter
-
-    def describe(self) -> dict:
-        return {"type": self.kind, "dim": self.dim, "cells_per_axis": self._resolution}
 
 
 class UniformBallMeasure(AtomicMeasure):
@@ -469,17 +454,12 @@ class UniformBallMeasure(AtomicMeasure):
         super().__init__(cell_centers[keep], masses[keep] / masses.sum())
         self.center = center
         self.radius = float(radius)
-        self._resolution = cells_per_axis
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=(count, self.dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         r = self.radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / self.dim)
         return self.center[None, :] + direction * r
-
-    def describe(self) -> dict:
-        return {"type": self.kind, "dim": self.dim,
-                "center": self.center.tolist(), "radius": self.radius}
 
 
 def atoms_measure(positions, weights) -> AtomicMeasure:

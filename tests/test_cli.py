@@ -1,10 +1,14 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
-from rieszmin.cli import main
+from rieszmin.cli import _minimize_settings, _settings, main
+from rieszmin.diagnostics import cluster_classify, gamma_trace
 from rieszmin.energy import load_configuration_csv
+from rieszmin.kernels import CheckScheme
+from rieszmin.quantizer import quantize
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -328,13 +332,51 @@ class TestParsing:
                                   "hi": [1, 1], "cells_per_axis": "many"}}, "cells_per_axis"),
         ("minimize", {"minimize": {"repair": {"grid_side": "wide"}}}, "grid_side"),
         ("quantize", {"measure": {"type": "cloud", "path": "cloud.csv", "dim": "two"}}, "dim"),
+        ("check-kernel", {"check_scheme": {"radial_samples": "abc"}}, "radial_samples"),
+        # a fraction for an integer key, which int() would truncate
+        ("quantize", {"n": 10.7}, "n"),
+        ("minimize", {"minimize": {"restarts": 2.5}}, "restarts"),
+        ("quantize", {"quantize": {"k": 2.9}}, "k"),
+        ("trace", {"n_list": [16, 64.5]}, "n_list"),
+        ("quantize", {"measure": {"type": "uniform_ball", "center": [0, 0], "radius": 1,
+                                  "cells_per_axis": 12.5}}, "cells_per_axis"),
+        # a key no settings block knows, or the seed that only the top level sets
+        ("minimize", {"minimize": {"restart": 1}}, "restart"),
+        ("minimize", {"minimize": {"step": {"shrinkk": 0.5}}}, "shrinkk"),
+        ("minimize", {"minimize": {"repair": {"far": 2.0}}}, "far"),
+        ("minimize", {"minimize": {"seed": 3}}, "seed"),
+        ("quantize", {"quantize": {"stratgy": "best-of-k"}}, "stratgy"),
+        ("trace", {"trace": {"mc_sample": 100}}, "mc_sample"),
+        ("diagnose", {"diagnostics": {"gap": 2.0}}, "gap"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
+        (tmp_path / "pair.csv").write_text("2,2\n0,0\n1,0\n")  # for the diagnose case
         cfg = write_config(tmp_path, **block)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        args = [str(tmp_path / "pair.csv")] if command == "diagnose" else []
+        assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+class TestReadmeConfig:
+    """The README's config carrying every block passes the settings reader, so
+    the README cannot keep a key the reader rejects."""
+
+    def test_every_settings_block_reads(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        config = json.loads(text.split("A config carrying every block:")[1]
+                            .split("```json")[1].split("```")[0])
+        settings = _minimize_settings(config, seed=0)
+        assert settings.restarts == config["minimize"]["restarts"]
+        assert settings.repair.far_factor == config["minimize"]["repair"]["far_factor"]
+        for key, of, names in [
+            ("check_scheme", CheckScheme, ()),
+            ("quantize", quantize, ("strategy", "k")),
+            ("trace", gamma_trace, ("with_minimization", "strategy", "k", "mc_samples")),
+            ("diagnostics", cluster_classify, ("gap_factor",)),
+        ]:
+            assert _settings(config[key], key, of, names) == config[key]
 
 
 class TestThreads:

@@ -3,7 +3,10 @@ sum permutation-exact, the per-particle potentials reuse the energy's own
 arithmetic, and the pass gives the same bits for any number of worker
 threads as a dense np.linalg.norm reference.  Clouds reach n = 600, so a
 pass spans several blocks.  The gradient matches central finite differences
-of the energy, and the cluster classifier a dense single-linkage reference."""
+of the energy, and the cluster classifier a dense single-linkage reference.
+Energy and gradient are translation invariant, partition cells of atom clouds
+carry exactly 1/l^dim, and the CLI reads a minimize block into the settings
+the dataclasses build from the same values."""
 
 import itertools
 import math
@@ -17,17 +20,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rieszmin import (
+    AtomicMeasure,
     Configuration,
     GradientUndefinedError,
+    MinimizeSettings,
     MorseKernel,
     PowerLawKernel,
+    RepairSettings,
+    StepRule,
     discrete_energy,
     el_residual,
     gradient,
 )
 from rieszmin import energy
+from rieszmin.cli import _minimize_settings
 from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
+from rieszmin.quantizer import partition, side_count
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
 
@@ -298,3 +307,71 @@ def test_cluster_classify_matches_dense_single_linkage(n, dim, seed, kind, gap_f
     want = dense_single_linkage(pts, gap_factor)
     assert got.as_dict() == want.as_dict()
     assert [c.indices.tolist() for c in got.clusters] == [c.indices.tolist() for c in want.clusters]
+
+
+@SETTINGS
+@given(shift=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3), **clouds)
+@example(shift=[100.0, -100.0, 100.0], n=600, dim=2, seed=7, ties=True, kernel="power_law")
+def test_energy_and_gradient_are_translation_invariant(shift, n, dim, seed, ties, kernel):
+    """A shift moves each coordinate, hence each distance, in its last bits
+    (|shift| <= 100 times the unit roundoff), so the comparison is relative:
+    1e-9 of the energy's size and of the largest gradient entry."""
+    pts = make_points(n, dim, seed, ties)
+    moved = pts + np.array(shift[:dim])
+    k = make_kernel(kernel, dim)
+    e, e_moved = (discrete_energy(Configuration(p), k).value for p in (pts, moved))
+    assert abs(e_moved - e) <= 1e-9 * max(1.0, abs(e))
+    g, g_moved = (gradient(Configuration(p), k) for p in (pts, moved))
+    assert np.abs(g_moved - g).max() <= 1e-9 * max(1e-3, np.abs(g).max())
+
+
+@SETTINGS
+@given(n=st.integers(1, 200), dim=st.integers(1, 3), atoms=st.integers(1, 300),
+       levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(n=16, dim=2, atoms=40, levels=2, seed=0)  # 4 sites: most thresholds fall on atoms
+def test_partition_cells_of_tied_atom_clouds_have_exact_masses(n, dim, atoms, levels, seed):
+    """Atoms on a grid of `levels` values per axis, with random weights: many
+    atoms share a coordinate, so strip thresholds land on tied atoms whose
+    mass is split between neighbouring cells."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, levels, size=(atoms, dim)).astype(float)
+    weights = rng.uniform(0.1, 1.0, size=atoms)
+    part = partition(AtomicMeasure(pts, weights / weights.sum()), n)
+    target = 1.0 / side_count(n, dim) ** dim
+    for cell in part.cells:
+        assert abs(cell.mass - target) <= 1e-12
+        assert abs(cell.restriction.weights.sum() - target) <= 1e-12
+
+
+def whole(lo, hi):
+    """An integer setting as JSON may carry it: an int or a whole float."""
+    return st.integers(lo, hi).flatmap(lambda v: st.sampled_from([v, float(v)]))
+
+
+minimize_blocks = st.fixed_dictionaries({}, optional={
+    "restarts": whole(1, 64), "max_iters": whole(1, 10_000),
+    "grad_tol": st.floats(1e-12, 1e-2), "repair_period": whole(1, 200),
+    "step": st.fixed_dictionaries({}, optional={
+        "initial": st.floats(1e-3, 10.0), "shrink": st.floats(0.01, 0.99),
+        "sufficient_decrease": st.floats(1e-8, 0.5)}),
+    "repair": st.none() | st.fixed_dictionaries({}, optional={
+        "bulk_radius_quantile": st.floats(0.01, 0.99), "far_factor": st.floats(1.01, 10.0),
+        "grid_side": st.none() | st.floats(0.01, 10.0)}),
+})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(block=minimize_blocks, seed=st.integers(0, 2**32 - 1))
+@example(block={"repair": None}, seed=0)
+def test_minimize_block_reads_as_the_dataclasses_build_it(block, seed):
+    """Each setting the block leaves out takes the dataclass default."""
+    scalars = {key: block[key] for key in ("restarts", "max_iters", "grad_tol", "repair_period")
+               if key in block}
+    repair = block.get("repair", {})
+    want = MinimizeSettings(**scalars, step=StepRule(**block.get("step", {})),
+                            repair=None if repair is None else RepairSettings(**repair),
+                            seed=seed)
+    got = _minimize_settings({"minimize": block}, seed)
+    assert got == want
+    assert [type(getattr(got, key)) for key in scalars] == [
+        type(getattr(MinimizeSettings(), key)) for key in scalars]
