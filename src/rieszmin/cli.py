@@ -32,7 +32,7 @@ from .energy import (
     worker_threads,
 )
 from .errors import NumericalError, UsageError, ValidationError
-from .io import (DEFAULT_SEED, config_number, dump_report, load_json_config,
+from .io import (DEFAULT_SEED, config_number, dump_report, flag, load_json_config,
                  measure_from_config, whole)
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
 from .minimizer import (
@@ -108,8 +108,16 @@ def _measure(config, base_dir, key="measure", required=True):
 
 
 # a setting's cast by the type of its default (None: an optional float; MISSING: a sub-block)
-_CASTS = {bool: bool, int: int, float: float, str: str, type(None): float,
+_CASTS = {bool: flag, int: int, float: float, str: str, type(None): float,
           tuple: lambda value: tuple(map(float, value)), type(MISSING): lambda block: block}
+
+
+def _block(block, name) -> dict:
+    """A config block that must be a mapping; absent or null reads as empty."""
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise UsageError(f"config {name!r} block must be a mapping")
+    return block
 
 
 def _settings(block, name, of, names=()) -> dict:
@@ -120,9 +128,7 @@ def _settings(block, name, of, names=()) -> dict:
         defaults = {f.name: f.default for f in fields(of) if f.name != "seed"}
     else:
         defaults = {key: inspect.signature(of).parameters[key].default for key in names}
-    block = {} if block is None else block
-    if not isinstance(block, dict):
-        raise UsageError(f"config {name!r} block must be a mapping")
+    block = _block(block, name)
     unknown = sorted(set(block) - set(defaults))
     if unknown:
         raise UsageError(f"config {name!r} block has unknown key(s) {unknown}")
@@ -132,7 +138,7 @@ def _settings(block, name, of, names=()) -> dict:
 
 def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     block = _settings(config.get("minimize"), "minimize", MinimizeSettings)
-    init_block = dict(block.get("init", {}))
+    init_block = _block(block.get("init"), "minimize.init")
     kind = init_block.get("kind", "random-gaussian")
     if kind == "quantizer-seeded":
         init = InitSpec(kind=kind, measure=_measure(init_block, base_dir))
@@ -159,8 +165,11 @@ def _cmd_check_kernel(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
     kernel = _kernel(config, base_dir)
     witness = _measure(config, base_dir, key="witness", required=False)
-    scheme = CheckScheme(**_settings(config.get("check_scheme"), "check_scheme", CheckScheme),
-                         seed=seed)
+    try:
+        scheme = CheckScheme(**_settings(config.get("check_scheme"), "check_scheme", CheckScheme),
+                             seed=seed)
+    except ValidationError as exc:  # a value out of range, read like one of the wrong type
+        raise UsageError(f"config 'check_scheme' block: {exc}") from None
     report = check_assumptions(kernel, witness, scheme)
     for line in (
         f"lower bound        : {report.h1_lower_bound:.6g} "

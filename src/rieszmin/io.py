@@ -67,6 +67,13 @@ def whole(value) -> int:
     return int(value)
 
 
+def flag(value) -> bool:
+    """value itself when it is a JSON true or false: the strict bool cast."""
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
+
+
 def floats(value):
     """A number, or lists of numbers nested to any depth, as floats: the
     ``config_number`` cast for list-valued keys."""
@@ -166,7 +173,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
 
         return DensityBoxMeasure(density, lo, config_number(block, "hi", floats),
                                  cells_per_axis=config_number(block, "cells_per_axis", int, None),
-                                 normalize=bool(block.get("normalize", False)))
+                                 normalize=config_number(block, "normalize", flag, False))
     raise ValidationError(f"unknown measure type {kind!r}")
 
 

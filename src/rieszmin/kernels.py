@@ -28,7 +28,8 @@ class Kernel:
     """Base class for radial pairwise interaction kernels on R^dim.
 
     Subclasses provide the radial profile ``radial(r)`` and its derivative
-    ``radial_prime(r)``, both vectorized over numpy arrays of radii.
+    ``radial_prime(r)``, both vectorized over numpy arrays of radii; each
+    returns a new array, which the caller may overwrite.
     """
 
     dim: int
@@ -101,6 +102,35 @@ def _check_dim(dim: int) -> int:
     return int(dim)
 
 
+# numpy forms of r ** p with the bits of ``**`` (tests/test_properties.py checks each)
+_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, -1.0: np.reciprocal}
+
+
+def _term(p: float, c: float = 1.0):
+    """(r, out) -> r ** p / c bit for bit, for c = p or 1: r itself for p = 1,
+    the scalar 1 for p = 0, else written into out (a new array for None)."""
+    if p == 1.0 or p == 0.0:
+        return lambda r, out: r if p else 1.0
+    power = _FAST_POWERS.get(p) or (lambda r, out: np.power(r, p, out))
+    if c == 1.0:
+        return power
+    exact = abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c)  # c = 2^k
+
+    def term(r, out):
+        x = power(r, np.empty_like(r) if out is None else out)
+        # x * (1/c) has the bits of x / c when 1/c is exact
+        return np.multiply(x, 1.0 / c, x) if exact else np.divide(x, c, x)
+
+    return term
+
+
+def _difference(r, first, second):
+    """first(r) - second(r) for two _term's, into a new array."""
+    out = np.empty_like(r)
+    hi = first(r, out)
+    return np.subtract(hi, second(r, None if hi is out else out), out)
+
+
 @dataclass(frozen=True)
 class PowerLawKernel(Kernel):
     """g(v) = |v|^beta / beta - |v|^alpha / alpha with -dim < alpha < beta.
@@ -129,19 +159,20 @@ class PowerLawKernel(Kernel):
         if self.near_origin_radius is None:
             # the radial derivative r^(beta-1) - r^(alpha-1) is negative on (0, 1)
             object.__setattr__(self, "near_origin_radius", 1.0)
+        object.__setattr__(self, "_radial", (_term(b, b), _term(a, a)))
+        object.__setattr__(self, "_prime", (_term(b - 1.0), _term(a - 1.0)))
 
     def radial(self, r):
         r = np.asarray(r, dtype=float)
-        zero_value = math.inf if self.alpha < 0 else 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            body = np.where(r > 0, r, 1.0)
-            vals = body ** self.beta / self.beta - body ** self.alpha / self.alpha
-            return np.where(r > 0, vals, zero_value)
+            vals = _difference(r, *self._radial)
+        if not r.min(initial=math.inf) > 0:  # coincident points (or r < 0, NaN)
+            vals[~(r > 0)] = math.inf if self.alpha < 0 else 0.0
+        return vals
 
     def radial_prime(self, r):
-        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return r ** (self.beta - 1.0) - r ** (self.alpha - 1.0)
+            return _difference(np.asarray(r, dtype=float), *self._prime)
 
     def describe(self) -> dict:
         return {
@@ -188,13 +219,20 @@ class MorseKernel(Kernel):
             return r_star
         return max(self.l1, self.l2)
 
-    def radial(self, r):
+    def _decays(self, r, c1, c2, combine):
+        """combine(c1 exp(-r/l1), c2 exp(-r/l2)), each term made in place."""
         r = np.asarray(r, dtype=float)
-        return self.c1 * np.exp(-r / self.l1) - self.c2 * np.exp(-r / self.l2)
+        terms = np.empty_like(r), np.empty_like(r)
+        for e, scale, c in zip(terms, (self.l1, self.l2), (c1, c2)):
+            np.exp(np.divide(np.negative(r, out=e), scale, out=e), out=e)
+            e *= c
+        return combine(*terms, out=terms[0])
+
+    def radial(self, r):
+        return self._decays(r, self.c1, self.c2, np.subtract)
 
     def radial_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return (-self.c1 / self.l1) * np.exp(-r / self.l1) + (self.c2 / self.l2) * np.exp(-r / self.l2)
+        return self._decays(r, -self.c1 / self.l1, self.c2 / self.l2, np.add)
 
     def describe(self) -> dict:
         return {
@@ -236,11 +274,14 @@ class TruncatedKernel(Kernel):
         return self.inner.near_origin_radius
 
     def radial(self, r):
-        return np.minimum(self.inner.radial(r), self.level)
+        vals = np.asarray(self.inner.radial(r), dtype=float)
+        return np.minimum(vals, self.level, out=vals)
 
     def radial_prime(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(self.inner.radial(r) < self.level, self.inner.radial_prime(r), 0.0)
+        out = np.asarray(self.inner.radial_prime(r), dtype=float)
+        out[~(self.inner.radial(r) < self.level)] = 0.0  # NaN values too
+        return out
 
     def describe(self) -> dict:
         return {"variant": "truncated", "level": self.level, "inner": self.inner.describe()}
@@ -354,6 +395,15 @@ class CheckScheme:
     h3_pairs: int = 256
     h4_samples: int = 200_000
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("radial_samples", "h3_pairs", "h4_samples"):
+            if not getattr(self, key) > 0:
+                raise ValidationError(f"{key!r} must be positive, got {getattr(self, key)}")
+        if not self.far_radii:
+            raise ValidationError("'far_radii' must not be empty")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise ValidationError(f"need 0 < 'r_min' < 'r_max' < inf, got {self.r_min}, {self.r_max}")
 
 
 @dataclass

@@ -348,6 +348,19 @@ class TestParsing:
         ("quantize", {"quantize": {"stratgy": "best-of-k"}}, "stratgy"),
         ("trace", {"trace": {"mc_sample": 100}}, "mc_sample"),
         ("diagnose", {"diagnostics": {"gap": 2.0}}, "gap"),
+        # a bool setting takes only JSON true or false
+        ("trace", {"trace": {"with_minimization": "false"}}, "with_minimization"),
+        ("trace", {"trace": {"with_minimization": 1}}, "with_minimization"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [0, 0],
+                                  "hi": [1, 1], "normalize": "yes"}}, "normalize"),
+        ("minimize", {"minimize": {"init": "gaussian"}}, "minimize.init"),
+        # a check scheme value out of range
+        ("check-kernel", {"check_scheme": {"radial_samples": 0}}, "radial_samples"),
+        ("check-kernel", {"check_scheme": {"h3_pairs": -2}}, "h3_pairs"),
+        ("check-kernel", {"check_scheme": {"h4_samples": 0}}, "h4_samples"),
+        ("check-kernel", {"check_scheme": {"far_radii": []}}, "far_radii"),
+        ("check-kernel", {"check_scheme": {"r_min": 0}}, "r_min"),
+        ("check-kernel", {"check_scheme": {"r_min": 2.0, "r_max": 1.0}}, "r_max"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
@@ -357,6 +370,23 @@ class TestParsing:
         assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+class TestNullInitBlock:
+    """A null 'minimize.init' block reads as an empty one, as every other
+    settings block does."""
+
+    @pytest.mark.parametrize("command, name", [("minimize", "minimize.json"),
+                                               ("trace", "trace.json")])
+    def test_null_init_matches_absent_init(self, tmp_path, command, name):
+        runs = {}
+        for label, block in [("absent", {}), ("null", {"init": None})]:
+            cfg = write_config(tmp_path, name=f"{label}.json", n=9, n_list=[9],
+                               minimize={"restarts": 1, "max_iters": 20, **block},
+                               trace={"with_minimization": True, "mc_samples": 2000})
+            assert main([command, "--config", cfg, "--out", str(tmp_path / label)]) == 0
+            runs[label] = result_payload(tmp_path / label / name)
+        assert runs["null"] == runs["absent"]
 
 
 class TestReadmeConfig:

@@ -6,7 +6,8 @@ pass spans several blocks.  The gradient matches central finite differences
 of the energy, and the cluster classifier a dense single-linkage reference.
 Energy and gradient are translation invariant, partition cells of atom clouds
 carry exactly 1/l^dim, and the CLI reads a minimize block into the settings
-the dataclasses build from the same values."""
+the dataclasses build from the same values.  The in-place kernel profiles give
+the bits of their plain numpy expressions, kept here as references."""
 
 import itertools
 import math
@@ -28,6 +29,7 @@ from rieszmin import (
     PowerLawKernel,
     RepairSettings,
     StepRule,
+    TruncatedKernel,
     discrete_energy,
     el_residual,
     gradient,
@@ -36,6 +38,7 @@ from rieszmin import energy
 from rieszmin.cli import _minimize_settings
 from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
+from rieszmin.kernels import _FAST_POWERS
 from rieszmin.quantizer import partition, side_count
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
@@ -375,3 +378,89 @@ def test_minimize_block_reads_as_the_dataclasses_build_it(block, seed):
     assert got == want
     assert [type(getattr(got, key)) for key in scalars] == [
         type(getattr(MinimizeSettings(), key)) for key in scalars]
+
+
+# -- kernel profiles against their plain numpy expressions -----------------
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def reference_power_law(k, r):
+    """PowerLawKernel's profile and derivative as plain ``**`` expressions."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        body = np.where(r > 0, r, 1.0)
+        vals = body ** k.beta / k.beta - body ** k.alpha / k.alpha
+        radial = np.where(r > 0, vals, math.inf if k.alpha < 0 else 0.0)
+        return radial, r ** (k.beta - 1.0) - r ** (k.alpha - 1.0)
+
+
+# the exponents with a fast form in radial (p) or radial_prime (p + 1), and the
+# ones read as r itself (1) or 1 (0 in radial_prime); 0 is no exponent
+SPECIAL_EXPONENTS = sorted(({*_FAST_POWERS, 1.0} | {p + 1.0 for p in (*_FAST_POWERS, 1.0, 0.0)})
+                           - {0.0})
+# 0, subnormals, 1, and squares that overflow past 1e154
+EXTREME_RADII = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e154, 1.5e154, 1e300,
+                 math.inf]
+radii = st.lists(st.sampled_from(EXTREME_RADII) | st.floats(0.0, math.inf),
+                 min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(p=st.sampled_from(SPECIAL_EXPONENTS),
+       q=st.sampled_from(SPECIAL_EXPONENTS) | st.floats(-2.99, 4.0).filter(bool),
+       r=radii)
+@example(p=2.0, q=1.0, r=np.array(EXTREME_RADII))
+@example(p=-1.0, q=-0.5, r=np.array(EXTREME_RADII))
+def test_power_law_profile_is_the_plain_power_expression(p, q, r):
+    assume(p != q)
+    k = PowerLawKernel(min(p, q), max(p, q), dim=3)
+    radial, prime = reference_power_law(k, r)
+    assert np.array_equal(bits(k.radial(r)), bits(radial))
+    assert np.array_equal(bits(k.radial_prime(r)), bits(prime))
+    for x in r[:3]:  # a single radius takes the same path as an array
+        assert bits(k.radial(x)) == bits(reference_power_law(k, np.asarray(x))[0])
+
+
+@SETTINGS
+@given(alpha=st.floats(-2.99, 3.0).filter(bool), gap=st.floats(0.01, 3.0),
+       r=radii)
+@example(alpha=-1.5, gap=1.0, r=np.array([0.0]))  # alpha < beta < 0: inf, not NaN
+@example(alpha=-0.5, gap=2.5, r=np.array([1.0, 0.0]))
+@example(alpha=0.5, gap=1.5, r=np.array([0.0, 2.0]))
+def test_power_law_value_at_zero(alpha, gap, r):
+    beta = alpha + gap
+    assume(beta != 0.0)
+    k = PowerLawKernel(alpha, beta, dim=3)
+    zero = math.inf if alpha < 0 else 0.0
+    assert k.value_at_zero == zero
+    vals = k.radial(np.append(r, 0.0))
+    assert vals[-1] == zero and np.all(vals[:-1][r == 0.0] == zero)
+
+
+def reference_morse(k, r):
+    return (k.c1 * np.exp(-r / k.l1) - k.c2 * np.exp(-r / k.l2),
+            (-k.c1 / k.l1) * np.exp(-r / k.l1) + (k.c2 / k.l2) * np.exp(-r / k.l2))
+
+
+def reference_truncated(k, r):
+    return (np.minimum(k.inner.radial(r), k.level),
+            np.where(k.inner.radial(r) < k.level, k.inner.radial_prime(r), 0.0))
+
+
+positive = st.floats(1e-3, 1e3)
+
+
+@SETTINGS
+@given(c1=positive, c2=positive, l1=positive, l2=positive, r=radii,
+       level=st.floats(-10.0, 10.0), inner=st.sampled_from(["morse", "power_law"]))
+@example(c1=4.0, c2=1.0, l1=0.5, l2=2.0, r=np.array(EXTREME_RADII), level=1.0, inner="power_law")
+def test_morse_and_truncated_profiles_are_the_plain_expressions(c1, c2, l1, l2, r, level, inner):
+    morse = MorseKernel(c1, c2, l1, l2)
+    capped = TruncatedKernel(morse if inner == "morse" else PowerLawKernel(-1, 2), level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, reference in [(morse, reference_morse), (capped, reference_truncated)]:
+            radial, prime = reference(k, r)
+            assert np.array_equal(bits(k.radial(r)), bits(radial))
+            assert np.array_equal(bits(k.radial_prime(r)), bits(prime))
