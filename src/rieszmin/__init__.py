@@ -44,7 +44,6 @@ from .measures import (
     TargetMeasure,
     UniformBallMeasure,
     UniformBoxMeasure,
-    atoms_measure,
     single_atom,
 )
 from .quantizer import (
@@ -68,7 +67,6 @@ from .minimizer import (
     repair_outliers,
 )
 from .diagnostics import (
-    BLScheme,
     ClusterReport,
     ELReport,
     GammaTrace,

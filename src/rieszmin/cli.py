@@ -120,6 +120,12 @@ def _block(block, name) -> dict:
     return block
 
 
+def _check_keys(block, known, name) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise UsageError(f"config {name!r} block has unknown key(s) {unknown}")
+
+
 def _settings(block, name, of, names=()) -> dict:
     """The keys present in settings block ``name`` (absent or null: empty), each
     cast by the type of its default: a field of the dataclass ``of`` but the seed
@@ -129,9 +135,7 @@ def _settings(block, name, of, names=()) -> dict:
     else:
         defaults = {key: inspect.signature(of).parameters[key].default for key in names}
     block = _block(block, name)
-    unknown = sorted(set(block) - set(defaults))
-    if unknown:
-        raise UsageError(f"config {name!r} block has unknown key(s) {unknown}")
+    _check_keys(block, defaults, name)
     return {key: config_number(block, key, _CASTS[type(defaults[key])], defaults[key])
             for key in block}
 
@@ -140,6 +144,9 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     block = _settings(config.get("minimize"), "minimize", MinimizeSettings)
     init_block = _block(block.get("init"), "minimize.init")
     kind = init_block.get("kind", "random-gaussian")
+    # the one key each kind reads besides 'kind'
+    key = "measure" if kind == "quantizer-seeded" else "path" if kind == "user" else "scale"
+    _check_keys(init_block, ("kind", key), "minimize.init")
     if kind == "quantizer-seeded":
         init = InitSpec(kind=kind, measure=_measure(init_block, base_dir))
     elif kind == "user":
@@ -281,10 +288,11 @@ def _cmd_trace(args) -> int:
 def _cmd_diagnose(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
     kernel = _kernel(config, base_dir)
-    cfg_path = args.configuration or config.get("configuration")
-    if not cfg_path:
+    if not (args.configuration or config.get("configuration")):
         raise UsageError("diagnose needs a configuration CSV (argument or config key)")
-    cfg = load_configuration_csv(cfg_path)
+    # the argument is relative to the working directory, the key to the config's
+    cfg = load_configuration_csv(args.configuration
+                                 or os.path.join(base_dir, config["configuration"]))
     block = _settings(config.get("diagnostics"), "diagnostics", cluster_classify, ("gap_factor",))
     el = el_residual(cfg, kernel, seed)
     clusters = cluster_classify(cfg, **block)

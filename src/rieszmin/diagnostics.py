@@ -32,6 +32,7 @@ from .quantizer import quantize
 _PROBES_PER_SPHERE = 32  # el_residual's random probe directions on each sphere
 _PROBE_RADIUS_FACTORS = (1.5, 2.0, 4.0)  # the spheres' radii over the configuration's
 _BL_MEASURE_POINTS = 16384  # size of bl_distance's equal-mass discretization of a measure
+_BL_SLICES = 64  # bl_distance's random directions in dim > 1, drawn with seed 0
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +49,7 @@ class ELReport:
     particle_potentials: np.ndarray = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
-        return {
-            "mean_potential": self.mean_potential,
-            "potential_spread": self.potential_spread,
-            "exterior_min_gap": self.exterior_min_gap,
-            "probe_scheme": self.probe_scheme,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "particle_potentials"}
 
 
 def el_residual(cfg: Configuration, kernel: Kernel, seed: int = 0) -> ELReport:
@@ -220,12 +216,6 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BLScheme:
-    slices: int = 64
-    seed: int = 0
-
-
 def _as_atoms(obj):
     if isinstance(obj, Configuration):
         n = obj.n
@@ -248,7 +238,7 @@ def _w1_truncated_1d(x1: np.ndarray, w1: np.ndarray,
     return min(w1_dist, 2.0)
 
 
-def bl_distance(a, b, scheme: Optional[BLScheme] = None) -> float:
+def bl_distance(a, b) -> float:
     """Bounded-Lipschitz distance surrogate between configurations and/or
     target measures.
 
@@ -257,9 +247,8 @@ def bl_distance(a, b, scheme: Optional[BLScheme] = None) -> float:
     for pairs of atoms and metrizes the same convergence).  In higher
     dimension it is sliced: random unit directions, the exact 1-d value per
     slice, averaged.  Measures enter through a deterministic equal-mass
-    discretization, so the estimate is reproducible for a fixed scheme.
+    discretization, so the estimate is reproducible.
     """
-    scheme = scheme or BLScheme()
     pts_a, w_a = _as_atoms(a)
     pts_b, w_b = _as_atoms(b)
     if pts_a.shape[1] != pts_b.shape[1]:
@@ -267,13 +256,13 @@ def bl_distance(a, b, scheme: Optional[BLScheme] = None) -> float:
     dim = pts_a.shape[1]
     if dim == 1:
         return _w1_truncated_1d(pts_a[:, 0], w_a, pts_b[:, 0], w_b)
-    rng = np.random.default_rng(scheme.seed)
+    rng = np.random.default_rng(0)
     total = 0.0
-    for _ in range(scheme.slices):
+    for _ in range(_BL_SLICES):
         u = rng.normal(size=dim)
         u /= np.linalg.norm(u)
         total += _w1_truncated_1d(pts_a @ u, w_a, pts_b @ u, w_b)
-    return total / scheme.slices
+    return total / _BL_SLICES
 
 
 def support_diameter(cfg: Configuration) -> float:

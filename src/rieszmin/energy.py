@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import GradientUndefinedError, ValidationError
+from .errors import GradientUndefinedError, UsageError, ValidationError
+from .io import _read_rows
 from .kernels import Kernel
 
 _BLOCK_ELEMENTS = 2**16  # pairs per block: its few float buffers fit a 2 MB L2 cache
@@ -219,12 +220,17 @@ def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, flo
     return float(row_sums.sum()), lo, hi
 
 
+def _energy_stats(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:
+    """(pair sum / n^2, min distance, max distance) of n points."""
+    total, lo, hi = pair_interaction_sum(points, kernel)
+    return total / len(points)**2, lo, hi
+
+
 def discrete_energy(cfg: Configuration, kernel: Kernel) -> EnergyValue:
     """(1/n^2) sum over ordered pairs i != j of g(x_i - x_j)."""
     _check_kernel_dim(kernel, cfg.dim)
-    n = cfg.n
-    total, lo, _ = pair_interaction_sum(cfg.points, kernel)
-    return EnergyValue(value=total / n**2, pair_count=n * (n - 1), min_pair_distance=lo)
+    value, lo, _ = _energy_stats(cfg.points, kernel)
+    return EnergyValue(value=value, pair_count=cfg.n * (cfg.n - 1), min_pair_distance=lo)
 
 
 def cross_energy(a: SubConfiguration, b: SubConfiguration, kernel: Kernel) -> float:
@@ -310,9 +316,6 @@ class MonteCarloEnergy:
     reliable: bool
     note: str = ""
 
-    def as_tuple(self) -> Tuple[float, float]:
-        return self.estimate, self.std_error
-
 
 def continuum_energy_mc(mu, kernel: Kernel, sample_count: int, seed: int) -> MonteCarloEnergy:
     """Unbiased estimate of the double integral of g(x - y) against mu x mu
@@ -383,7 +386,7 @@ def continuum_energy_quadrature_1d(mu, kernel: Kernel) -> float:
             return out
 
         return 2.0 * refining_radial_integral(rank_gap_integrand, 1.0)
-    raise ValidationError(f"no quadrature path for measure kind {mu.kind!r}")
+    raise ValidationError(f"no quadrature path for a {type(mu).__name__}")
 
 
 def truncated_energy_gap(cfg: Configuration, kernel: Kernel, level: float) -> Tuple[float, float]:
@@ -421,30 +424,14 @@ def save_configuration_csv(cfg: Configuration, path) -> None:
 
 
 def load_configuration_csv(path) -> Configuration:
-    from .errors import UsageError
-
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise UsageError(f"{path}:1: empty configuration file")
-    head = lines[0].split(",")
-    if len(head) != 2:
-        raise UsageError(f"{path}:1: expected header 'dim,n'")
-    try:
-        dim, n = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise UsageError(f"{path}:1: bad header: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
+    """The file save_configuration_csv writes: a 'dim,n' header row, then n points."""
+    (first, head), *rows = _read_rows(path)
+    if len(head) != 2 or not all(x.is_integer() and x >= 0 for x in head):
+        raise UsageError(f"{path}:{first}: expected header 'dim,n'")
+    dim, n = int(head[0]), int(head[1])
+    for lineno, cells in rows:
         if len(cells) != dim:
             raise UsageError(f"{path}:{lineno}: expected {dim} coordinates, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     if len(rows) != n:
         raise UsageError(f"{path}: header promised {n} points, file has {len(rows)}")
-    return Configuration(np.asarray(rows))
+    return Configuration(np.asarray([cells for _, cells in rows]))

@@ -18,7 +18,6 @@ from .measures import (
     TargetMeasure,
     UniformBallMeasure,
     UniformBoxMeasure,
-    atoms_measure,
 )
 
 DEFAULT_SEED = 20240801
@@ -80,24 +79,34 @@ def floats(value):
     return [floats(v) for v in value] if isinstance(value, (list, tuple)) else float(value)
 
 
-def load_cloud_csv(path, dim: Optional[int] = None):
-    """One point per row, optional trailing weight column (detected against
-    the declared dimension)."""
+def _read_rows(path):
+    """(line number, floats) for each line of a comma-separated file that is
+    neither blank nor a '#' comment.  An unreadable, binary or empty file,
+    or a cell that is not a number, is one UsageError naming the path (and
+    the line)."""
+    rows = []
     try:
-        rows = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(c) for c in line.split(",")])
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{lineno}: {exc}") from exc
+                if line and not line.startswith("#"):
+                    try:
+                        rows.append((lineno, [float(c) for c in line.split(",")]))
+                    except ValueError as exc:
+                        raise UsageError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
-        raise UsageError(f"cannot read cloud {path}: {exc}") from exc
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not a text file") from None
     if not rows:
-        raise UsageError(f"{path}: empty sample cloud")
+        raise UsageError(f"{path}: no data rows")
+    return rows
+
+
+def load_cloud_csv(path, dim: Optional[int] = None):
+    """One point per row, optional trailing weight column (detected against
+    the declared dimension)."""
+    rows = [cells for _, cells in _read_rows(path)]
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise UsageError(f"{path}: rows have inconsistent column counts")
@@ -154,7 +163,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
         points, weights = load_cloud_csv(os.path.join(base_dir, block["path"]), dim)
         return AtomicMeasure(points, weights)
     if kind == "atoms":
-        return atoms_measure(config_number(block, "positions", floats),
+        return AtomicMeasure(config_number(block, "positions", floats),
                              config_number(block, "weights", floats))
     if kind == "density":
         expr = block["expr"]

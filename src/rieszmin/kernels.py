@@ -8,15 +8,14 @@ to share across any number of workers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import GradientUndefinedError, IntegrabilityError, ValidationError
-from .io import config_number, floats
+from .errors import GradientUndefinedError, IntegrabilityError, UsageError, ValidationError
+from .io import _read_rows, config_number, floats
 from .quadrature import (
     refining_cube_integral,
     refining_radial_integral,
@@ -84,9 +83,6 @@ class Kernel:
         construction is the identity transformation.
         """
         return self
-
-    def describe(self) -> dict:
-        raise NotImplementedError
 
 
 def _positive(name: str, value: float) -> float:
@@ -174,15 +170,6 @@ class PowerLawKernel(Kernel):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return _difference(np.asarray(r, dtype=float), *self._prime)
 
-    def describe(self) -> dict:
-        return {
-            "variant": "power_law",
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "dim": self.dim,
-            "near_origin_radius": self.near_origin_radius,
-        }
-
 
 @dataclass(frozen=True)
 class MorseKernel(Kernel):
@@ -234,17 +221,6 @@ class MorseKernel(Kernel):
     def radial_prime(self, r):
         return self._decays(r, -self.c1 / self.l1, self.c2 / self.l2, np.add)
 
-    def describe(self) -> dict:
-        return {
-            "variant": "morse",
-            "c1": self.c1,
-            "c2": self.c2,
-            "l1": self.l1,
-            "l2": self.l2,
-            "dim": self.dim,
-            "near_origin_radius": self.near_origin_radius,
-        }
-
 
 @dataclass(frozen=True)
 class TruncatedKernel(Kernel):
@@ -282,9 +258,6 @@ class TruncatedKernel(Kernel):
         out = np.asarray(self.inner.radial_prime(r), dtype=float)
         out[~(self.inner.radial(r) < self.level)] = 0.0  # NaN values too
         return out
-
-    def describe(self) -> dict:
-        return {"variant": "truncated", "level": self.level, "inner": self.inner.describe()}
 
 
 @dataclass(frozen=True)
@@ -366,15 +339,6 @@ class TabulatedKernel(Kernel):
     def value_at_zero(self) -> float:  # type: ignore[override]
         # the sample at radius 0, or the clamp value of a grid starting above it
         return float(self.values[0])
-
-    def describe(self) -> dict:
-        return {
-            "variant": "tabulated",
-            "radii": list(self.radii),
-            "values": ["inf" if not math.isfinite(v) else v for v in self.values],
-            "dim": self.dim,
-            "near_origin_radius": self.near_origin_radius,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +475,7 @@ def check_assumptions(kernel: Kernel, witness=None,
     )
 
 
-def local_avg_integral(kernel: Kernel, eta: float, rel_tol: float = 1e-8) -> float:
+def local_avg_integral(kernel: Kernel, eta: float) -> float:
     """Average of the kernel over the cube [-eta/2, eta/2]^dim.
 
     The cube is integrated by geometric shells toward the origin so an
@@ -524,7 +488,7 @@ def local_avg_integral(kernel: Kernel, eta: float, rel_tol: float = 1e-8) -> flo
     def fn(points: np.ndarray) -> np.ndarray:
         return np.asarray(kernel.radial(np.linalg.norm(points, axis=1)), dtype=float)
 
-    total = refining_cube_integral(fn, eta, kernel.dim, rel_tol=rel_tol)
+    total = refining_cube_integral(fn, eta, kernel.dim)
     return total / eta ** kernel.dim
 
 
@@ -534,20 +498,12 @@ def local_avg_integral(kernel: Kernel, eta: float, rel_tol: float = 1e-8) -> flo
 
 
 def load_radial_csv(path) -> tuple:
-    """Read a two-column (radius, value) CSV; 'inf' is accepted as a value."""
-    radii, values = [], []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"{path}:{lineno}: expected two columns")
-            try:
-                radii.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(radii), tuple(values)
+    """Read a (radius, value) CSV of two or more columns; 'inf' is accepted as a value."""
+    rows = _read_rows(path)
+    for lineno, cells in rows:
+        if len(cells) < 2:
+            raise UsageError(f"{path}:{lineno}: expected two columns")
+    return tuple(c[0] for _, c in rows), tuple(c[1] for _, c in rows)
 
 
 def kernel_from_config(block: dict, base_dir: str = ".") -> Kernel:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .quadrature import _gauss
+from .quadrature import _gauss, _tensor_grid, _tensor_rule
 
 _FULL = (-math.inf, math.inf)
 
@@ -80,6 +79,13 @@ class Restriction(abc.ABC):
             return point
         return self.median_point()
 
+    def _split_rects(self, axis: int, t: float):
+        """The rect cut at t along an axis: (left rect, right rect)."""
+        left, right = self.rect.copy(), self.rect.copy()
+        left[axis, 1] = min(left[axis, 1], t)
+        right[axis, 0] = max(right[axis, 0], t)
+        return left, right
+
 
 class AtomicRestriction(Restriction):
     """Weighted atoms inside a rectangle; splits carry fractional weights."""
@@ -115,10 +121,7 @@ class AtomicRestriction(Restriction):
             frac = need / at_mass
             left_w = np.where(at, self.weights * frac, left_w)
             right_w = np.where(at, self.weights * (1.0 - frac), right_w)
-        rect_l = self.rect.copy()
-        rect_l[axis, 1] = min(rect_l[axis, 1], t)
-        rect_r = self.rect.copy()
-        rect_r[axis, 0] = max(rect_r[axis, 0], t)
+        rect_l, rect_r = self._split_rects(axis, t)
         keep_l = left_w > 0.0
         keep_r = right_w > 0.0
         left = AtomicRestriction(self.points[keep_l], left_w[keep_l], rect_l, left_mass)
@@ -176,10 +179,7 @@ class ProductRestriction(Restriction):
         u_l[axis, 1] = u_mid
         u_r = self.u_rect.copy()
         u_r[axis, 0] = u_mid
-        rect_l = self.rect.copy()
-        rect_l[axis, 1] = min(rect_l[axis, 1], t)
-        rect_r = self.rect.copy()
-        rect_r[axis, 0] = max(rect_r[axis, 0], t)
+        rect_l, rect_r = self._split_rects(axis, t)
         left = ProductRestriction(self.quantiles, u_l, rect_l, fraction * self.mass)
         right = ProductRestriction(self.quantiles, u_r, rect_r, (1.0 - fraction) * self.mass)
         return left, right, t
@@ -249,7 +249,6 @@ class TargetMeasure(abc.ABC):
     quantiles along coordinate axes."""
 
     dim: int
-    kind: str = "measure"
 
     @abc.abstractmethod
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -267,8 +266,6 @@ class TargetMeasure(abc.ABC):
 
 class AtomicMeasure(TargetMeasure):
     """A finite weighted atom cloud (empirical sample clouds, atom mixes)."""
-
-    kind = "cloud"
 
     def __init__(self, points, weights=None):
         pts = np.array(points, dtype=float, copy=True)
@@ -314,8 +311,6 @@ class ProductQuantileMeasure(TargetMeasure):
     is the generalized inverse CDF of that axis marginal.
     """
 
-    kind = "quantile_product"
-
     def __init__(self, quantile_fns: Sequence[Callable]):
         if not quantile_fns:
             raise ValidationError("need at least one quantile function")
@@ -334,16 +329,12 @@ class ProductQuantileMeasure(TargetMeasure):
     def discretize(self, target_count: int):
         per_axis = max(1, round(target_count ** (1.0 / self.dim)))
         u = (np.arange(per_axis) + 0.5) / per_axis
-        axes = [np.asarray(self.quantiles[k](u), dtype=float) for k in range(self.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+        pts = _tensor_grid([np.asarray(q(u), dtype=float) for q in self.quantiles])
         return pts, np.full(pts.shape[0], 1.0 / pts.shape[0])
 
 
 class UniformBoxMeasure(ProductQuantileMeasure):
     """Uniform probability on an axis-aligned box."""
-
-    kind = "uniform_box"
 
     def __init__(self, lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -363,20 +354,10 @@ def _cell_grid(lo: np.ndarray, hi: np.ndarray, cells_per_axis: int):
     """The cells_per_axis^dim grid of cells on the box [lo, hi] and a Gauss
     rule for them: (cell centers, per-axis cell widths, the 4^dim tensor
     nodes on [-1, 1]^dim, their weights)."""
-    dim = lo.size
-    edges = [np.linspace(lo[k], hi[k], cells_per_axis + 1) for k in range(dim)]
-    centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
-    grids = np.meshgrid(*centers, indexing="ij")
-    cell_centers = np.stack([g.reshape(-1) for g in grids], axis=1)
+    edges = [np.linspace(a, b, cells_per_axis + 1) for a, b in zip(lo, hi)]
+    cell_centers = _tensor_grid([0.5 * (e[1:] + e[:-1]) for e in edges])
     steps = np.array([e[1] - e[0] for e in edges])
-
-    nodes, gw = _gauss(4)
-    offsets = np.meshgrid(*[nodes] * dim, indexing="ij")
-    offs = np.stack([o.reshape(-1) for o in offsets], axis=1)  # (4^dim, dim)
-    wts = np.ones(offs.shape[0])
-    for g in np.meshgrid(*[gw] * dim, indexing="ij"):
-        wts = wts * g.reshape(-1)
-    return cell_centers, steps, offs, wts
+    return (cell_centers, steps, *_tensor_rule([-1.0] * lo.size, [1.0] * lo.size, 4))
 
 
 class DensityBoxMeasure(AtomicMeasure):
@@ -387,8 +368,6 @@ class DensityBoxMeasure(AtomicMeasure):
     the declared accuracy.  Sampling smooths atoms back out by uniform
     jitter inside their grid cells.
     """
-
-    kind = "density"
 
     def __init__(self, density: Callable, lo, hi, cells_per_axis: Optional[int] = None,
                  normalize: bool = False):
@@ -433,8 +412,6 @@ class UniformBallMeasure(AtomicMeasure):
     normalized indicator-grid surrogate over the bounding box.
     """
 
-    kind = "uniform_ball"
-
     def __init__(self, center, radius: float, cells_per_axis: Optional[int] = None):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not (radius > 0 and math.isfinite(radius)):
@@ -462,13 +439,6 @@ class UniformBallMeasure(AtomicMeasure):
         return self.center[None, :] + direction * r
 
 
-def atoms_measure(positions, weights) -> AtomicMeasure:
-    """A finite mix of point masses (weights must sum to 1)."""
-    m = AtomicMeasure(positions, weights)
-    m.kind = "atoms"
-    return m
-
-
 def single_atom(position) -> AtomicMeasure:
     pos = np.atleast_1d(np.asarray(position, dtype=float))
-    return atoms_measure(pos.reshape(1, -1), [1.0])
+    return AtomicMeasure(pos.reshape(1, -1), [1.0])

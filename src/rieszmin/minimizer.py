@@ -20,14 +20,15 @@ import numpy as np
 
 from .energy import (
     Configuration,
+    _energy_stats,
     _pair_pass,
     gradient_of_points,
-    pair_interaction_sum,
     potential_grid,
 )
 from .errors import GradientUndefinedError, OptimizationError, ValidationError
 from .kernels import Kernel
 from .measures import TargetMeasure
+from .quadrature import _tensor_grid
 from .quantizer import quantize
 
 _LBFGS_MEMORY = 10  # (step, gradient change) pairs the direction remembers
@@ -94,6 +95,8 @@ class InitSpec:
             raise ValidationError("quantizer-seeded init needs a measure")
         if self.kind == "user" and self.config is None:
             raise ValidationError("user init needs a configuration")
+        if not 0.0 < self.scale < math.inf:
+            raise ValidationError(f"init scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +136,6 @@ class MinimizeResult:
             "repair_events": len(self.repair_events),
             "repair_energy_deltas": self.repair_events,
         }
-
-
-def _energy_stats(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:
-    total, lo, hi = pair_interaction_sum(points, kernel)
-    n = len(points)
-    return total / n**2, lo, hi
 
 
 def _max_row_norm(g: np.ndarray) -> float:
@@ -197,8 +194,7 @@ def _repair_points(points: np.ndarray, kernel: Kernel, settings: RepairSettings,
 
     per_axis = max(1, math.ceil(count ** (1.0 / dim)))
     offsets = (np.arange(per_axis) + 0.5) / per_axis - 0.5
-    grids = np.meshgrid(*[offsets * side] * dim, indexing="ij")
-    sites = anchor[None, :] + np.stack([g.reshape(-1) for g in grids], axis=1)
+    sites = anchor[None, :] + _tensor_grid([offsets * side] * dim)
 
     psi = potential_grid(bulk, 1.0 / n, kernel, sites)
     order = np.argsort(psi, kind="stable")
@@ -380,9 +376,6 @@ class TraceEntry:
 class EnergyTrace:
     entries: List[TraceEntry]
     outward_drift: bool
-
-    def as_rows(self) -> List[Tuple[int, float, float, float]]:
-        return [(e.n, e.energy, e.grad_norm, e.diameter) for e in self.entries]
 
 
 def energy_trace(kernel: Kernel, dim: int, n_list,

@@ -4,7 +4,7 @@ Radial interaction kernels are allowed an integrable singularity at zero
 separation, so plain tensor quadrature over a region containing the origin
 is useless.  Both integrators below peel geometrically shrinking shells off
 the origin, sum a fixed-order Gauss-Legendre rule per shell, and stop once
-two successive refinements move the total by less than ``rel_tol``.  Shell
+two successive refinements move the total by less than _REL_TOL.  Shell
 contributions that stop decaying are the signature of a non-integrable
 singularity and raise :class:`IntegrabilityError`.
 """
@@ -22,6 +22,7 @@ from .errors import IntegrabilityError
 # levels with |c_k| >= NO_DECAY_RATIO * |c_{k-1}| count as "not decaying"
 _NO_DECAY_RATIO = 0.999
 _NO_DECAY_STREAK = 6
+_REL_TOL = 1e-8  # a level this small relative to the total counts as negligible
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,34 +31,22 @@ def _gauss(order: int):
     return nodes, weights
 
 
-def gauss_panel(fn, a: float, b: float, order: int = 32) -> float:
-    """Gauss-Legendre integral of a vectorized scalar function over [a, b]."""
+def _tensor_grid(axes) -> np.ndarray:
+    """The (prod of lengths, dim) points of the grid of per-axis coordinates,
+    the last axis running fastest."""
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _tensor_rule(lo, hi, order: int):
+    """Tensor-product Gauss-Legendre rule of order^dim nodes on the box
+    [lo, hi]: (points, weights)."""
     nodes, weights = _gauss(order)
-    half = 0.5 * (b - a)
-    pts = 0.5 * (a + b) + half * nodes
-    return float(half * np.dot(weights, fn(pts)))
-
-
-def box_quadrature(fn, lo, hi, order: int = 8) -> float:
-    """Tensor-product Gauss-Legendre integral over a box.
-
-    ``fn`` maps an (m, dim) array of points to an (m,) array of values.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    nodes, weights = _gauss(order)
-    axis_nodes = []
-    axis_weights = []
-    for k in range(lo.size):
-        half = 0.5 * (hi[k] - lo[k])
-        axis_nodes.append(0.5 * (hi[k] + lo[k]) + half * nodes)
-        axis_weights.append(half * weights)
-    grids = np.meshgrid(*axis_nodes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wts = np.ones(pts.shape[0])
-    for g in np.meshgrid(*axis_weights, indexing="ij"):
+    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    points = _tensor_grid([0.5 * (b + a) + h * nodes for a, b, h in zip(lo, hi, half)])
+    wts = np.ones(points.shape[0])
+    for g in np.meshgrid(*[h * weights for h in half], indexing="ij"):
         wts = wts * g.reshape(-1)
-    return float(np.dot(wts, fn(pts)))
+    return points, wts
 
 
 def _shell_boxes(side: float, dim: int):
@@ -75,7 +64,7 @@ def _shell_boxes(side: float, dim: int):
     return boxes
 
 
-def _run_refinement(contribution, rel_tol: float, max_levels: int) -> float:
+def _run_refinement(contribution, max_levels: int) -> float:
     """Shared accumulation loop: sum per-level contributions, stop on two
     successive negligible levels, raise when levels stop decaying."""
     total = 0.0
@@ -86,7 +75,7 @@ def _run_refinement(contribution, rel_tol: float, max_levels: int) -> float:
         history.append(c)
         total += c
         scale = max(abs(total), 1e-300)
-        if abs(c) <= rel_tol * scale:
+        if abs(c) <= _REL_TOL * scale:
             quiet += 1
             if quiet >= 2:
                 # geometric extrapolation of the untouched tail
@@ -103,7 +92,7 @@ def _run_refinement(contribution, rel_tol: float, max_levels: int) -> float:
                 abs(recent[i + 1]) < _NO_DECAY_RATIO * abs(recent[i])
                 for i in range(len(recent) - 1)
             )
-            if not decaying and abs(c) > rel_tol * scale:
+            if not decaying and abs(c) > _REL_TOL * scale:
                 raise IntegrabilityError(
                     "refinement contributions near the origin are not "
                     f"decaying (last level {c:.6e}); the integrand looks "
@@ -114,35 +103,34 @@ def _run_refinement(contribution, rel_tol: float, max_levels: int) -> float:
     )
 
 
-def refining_cube_integral(fn, side: float, dim: int, rel_tol: float = 1e-8,
-                           max_levels: int = 100, order: int = 8) -> float:
+def refining_cube_integral(fn, side: float, dim: int) -> float:
     """Integral of ``fn`` over the cube [-side/2, side/2]^dim.
 
     ``fn`` maps (m, dim) points to (m,) values and may blow up at the origin
     only.  The cube is decomposed into geometric shells of boxes that never
-    touch the origin.
+    touch the origin, each integrated by the order-8 tensor rule.
     """
 
     def level_contribution(level: int) -> float:
         level_side = side / (2.0 ** level)
-        return sum(
-            box_quadrature(fn, lo, hi, order)
-            for lo, hi in _shell_boxes(level_side, dim)
-        )
+        rules = (_tensor_rule(lo, hi, 8) for lo, hi in _shell_boxes(level_side, dim))
+        return sum(float(np.dot(wts, fn(pts))) for pts, wts in rules)
 
-    return _run_refinement(level_contribution, rel_tol, max_levels)
+    return _run_refinement(level_contribution, max_levels=100)
 
 
-def refining_radial_integral(fn, r_hi: float, rel_tol: float = 1e-8,
-                             max_levels: int = 140, order: int = 32) -> float:
+def refining_radial_integral(fn, r_hi: float) -> float:
     """Integral of a vectorized scalar ``fn`` over (0, r_hi] via geometric
-    panels [r_hi 2^-(k+1), r_hi 2^-k]."""
+    panels [r_hi 2^-(k+1), r_hi 2^-k], each integrated by 32-point Gauss-Legendre."""
+    nodes, weights = _gauss(32)
 
     def level_contribution(level: int) -> float:
-        hi = r_hi / (2.0 ** level)
-        return gauss_panel(fn, hi / 2.0, hi, order)
+        b = r_hi / (2.0 ** level)
+        a = b / 2.0
+        half = 0.5 * (b - a)
+        return float(half * np.dot(weights, fn(0.5 * (a + b) + half * nodes)))
 
-    return _run_refinement(level_contribution, rel_tol, max_levels)
+    return _run_refinement(level_contribution, max_levels=140)
 
 
 def unit_sphere_area(dim: int) -> float:

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import Configuration, pair_interaction_sum, potential_grid
+from .energy import Configuration, _energy_stats, potential_grid
 from .errors import QuantizeError, ValidationError
 from .kernels import Kernel
 from .measures import Restriction, TargetMeasure
@@ -131,11 +131,6 @@ def partition(mu: TargetMeasure, n: int) -> MassPartition:
     return MassPartition(cells=cells, split_count=l, requested_n=n, dim=dim)
 
 
-def _normalized_pair_sum(points: np.ndarray, kernel: Kernel, cell_count: int) -> float:
-    total, _, _ = pair_interaction_sum(points, kernel)
-    return total / cell_count**2
-
-
 def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                            strategy: str = "hybrid", k: int = 32,
                            seed: int = 0) -> MassPartition:
@@ -161,12 +156,14 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         for cell in cells:
             rep = np.clip(cell.restriction.representative(), cell.rect[:, 0], cell.rect[:, 1])
             cell.representative = rep
-        achieved = (_normalized_pair_sum(part.representatives(), kernel, m)
+        achieved = (_energy_stats(part.representatives(), kernel)[0]
                     if kernel is not None and m > 1 else 0.0)
         part.selection = SelectionInfo(strategy=strategy, draws=0, achieved_G=achieved,
                                        bound_estimate=None, bound_stderr=None)
         return part
 
+    if k < 1:
+        raise ValidationError(f"strategy {strategy!r} needs k >= 1, got {k}")
     rng = np.random.default_rng(seed)
     streams = rng.spawn(m)
 
@@ -175,9 +172,7 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         draws = np.empty((k, m, part.dim))
         for i, cell in enumerate(cells):
             draws[:, i, :] = cell.restriction.sample(k, streams[i])
-        values = np.array([
-            _normalized_pair_sum(draws[j], kernel, m) for j in range(k)
-        ])
+        values = np.array([_energy_stats(draws[j], kernel)[0] for j in range(k)])
         finite = np.isfinite(values)
         finite_values.extend(values[finite].tolist())
         if np.any(finite):
@@ -208,7 +203,7 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                 if math.isfinite(delta) and delta < 0.0:
                     best_points[i] = y
                     improvements += 1
-        best_value = _normalized_pair_sum(best_points, kernel, m)
+        best_value = _energy_stats(best_points, kernel)[0]
 
     for cell, rep in zip(cells, best_points):
         cell.representative = rep

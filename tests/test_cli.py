@@ -361,6 +361,11 @@ class TestParsing:
         ("check-kernel", {"check_scheme": {"far_radii": []}}, "far_radii"),
         ("check-kernel", {"check_scheme": {"r_min": 0}}, "r_min"),
         ("check-kernel", {"check_scheme": {"r_min": 2.0, "r_max": 1.0}}, "r_max"),
+        # an init block takes 'kind' and the one key its kind reads
+        ("minimize", {"minimize": {"init": {"sclae": 2}}}, "sclae"),
+        ("minimize", {"minimize": {"init": {"kind": "quantizer-seeded", "scale": 2,
+                                            "measure": {"type": "uniform_box", "lo": [0, 0],
+                                                        "hi": [1, 1]}}}}, "scale"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
@@ -370,6 +375,62 @@ class TestParsing:
         assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+class TestInputFiles:
+    """A missing, empty or malformed input file is one error: line naming it, exit 1."""
+
+    @pytest.mark.parametrize("command, overrides, args, name", [
+        ("diagnose", {}, ["missing.csv"], "missing.csv"),
+        ("diagnose", {"configuration": "missing.csv"}, [], "missing.csv"),
+        ("check-kernel", {"kernel": {"variant": "tabulated", "path": "missing.csv"}}, [],
+         "missing.csv"),
+        ("minimize", {"minimize": {"init": {"kind": "user", "path": "missing.csv"}}}, [],
+         "missing.csv"),
+        ("quantize", {"measure": {"type": "cloud", "path": "missing.csv"}}, [], "missing.csv"),
+        ("check-kernel", {"kernel": {"variant": "tabulated", "path": "bad.csv"}}, [], "bad.csv:3"),
+        ("check-kernel", {"kernel": {"variant": "tabulated", "path": "empty.csv"}}, [],
+         "empty.csv"),
+        ("quantize", {"measure": {"type": "cloud", "path": "bad.csv"}}, [], "bad.csv:3"),
+        ("diagnose", {}, ["bad.csv"], "bad.csv:3"),
+        ("diagnose", {}, ["empty.csv"], "empty.csv"),
+        ("check-kernel", {"kernel": {"variant": "tabulated", "path": "binary.csv"}}, [],
+         "binary.csv"),
+    ])
+    def test_input_file_error_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                command, overrides, args, name):
+        (tmp_path / "bad.csv").write_text("# radius,value\n0,1\n1,abc\n")
+        (tmp_path / "empty.csv").write_text("# nothing here\n\n")
+        (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x01,2\n")
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+    def test_configuration_key_is_relative_to_the_config(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "pair.csv").write_text("2,2\n0,0\n1,0\n")
+        cfg = write_config(run, configuration="pair.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert result_payload(tmp_path / "out" / "diagnose.json")["support_diameter"] == 1.0
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("command, overrides, text", [
+        ("quantize", {"quantize": {"k": 0}}, "k >= 1"),
+        ("trace", {"trace": {"k": -1}}, "k >= 1"),
+        ("minimize", {"minimize": {"init": {"scale": 0}}}, "init scale"),
+        ("minimize", {"minimize": {"init": {"scale": -1.5}}}, "init scale"),
+    ])
+    def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys,
+                                                      command, overrides, text):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1 and text in err
 
 
 class TestNullInitBlock:

@@ -16,7 +16,6 @@ from rieszmin import (
     quantize,
 )
 from rieszmin.diagnostics import (
-    BLScheme,
     bl_distance,
     cluster_classify,
     el_residual,
@@ -144,9 +143,7 @@ class TestBLDistance:
         rng = np.random.default_rng(7)
         a = Configuration(rng.normal(size=(15, 2)))
         b = Configuration(rng.normal(size=(10, 2)))
-        scheme = BLScheme(slices=32, seed=1)
-        assert bl_distance(a, b, scheme) == pytest.approx(
-            bl_distance(b, a, scheme), rel=1e-12)
+        assert bl_distance(a, b) == pytest.approx(bl_distance(b, a), rel=1e-12)
 
     def test_triangle_inequality_in_1d(self):
         rng = np.random.default_rng(8)
@@ -163,13 +160,11 @@ class TestBLDistance:
         # all three distances share slice directions, so the per-slice
         # inequality survives the averaging exactly
         rng = np.random.default_rng(9)
-        scheme = BLScheme(slices=16, seed=3)
         for _ in range(10):
             a = Configuration(rng.normal(size=(9, 2)))
             b = Configuration(rng.normal(size=(7, 2)))
             c = Configuration(rng.normal(size=(11, 2)))
-            assert bl_distance(a, c, scheme) <= (bl_distance(a, b, scheme)
-                                                 + bl_distance(b, c, scheme) + 1e-12)
+            assert bl_distance(a, c) <= bl_distance(a, b) + bl_distance(b, c) + 1e-12
 
 
 class TestSupportDiameter:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rieszmin import (
+    AtomicMeasure,
     Configuration,
     GradientUndefinedError,
     MorseKernel,
@@ -14,7 +15,6 @@ from rieszmin import (
     SubConfiguration,
     UniformBoxMeasure,
     ValidationError,
-    atoms_measure,
     continuum_energy_mc,
     cross_energy,
     discrete_energy,
@@ -251,7 +251,7 @@ class TestContinuumMonteCarlo:
 
     def test_two_atom_mix(self):
         # (1/4)(g(0) + g(1) + g(1) + g(0)) = -1/4 with g(0) = 0
-        mu = atoms_measure([[0.0], [1.0]], [0.5, 0.5])
+        mu = AtomicMeasure([[0.0], [1.0]], [0.5, 0.5])
         mc = continuum_energy_mc(mu, PL1, 400_000, seed=2)
         assert abs(mc.estimate - (-0.25)) <= 3 * mc.std_error + 1e-9
 
@@ -288,7 +288,7 @@ class TestContinuumQuadrature1D:
     def test_atomic_measure_double_sum(self):
         from rieszmin.energy import continuum_energy_quadrature_1d
 
-        mu = atoms_measure([[0.0], [1.0]], [0.5, 0.5])
+        mu = AtomicMeasure([[0.0], [1.0]], [0.5, 0.5])
         assert continuum_energy_quadrature_1d(mu, PL1) == pytest.approx(-0.25)
 
     def test_agrees_with_monte_carlo(self):

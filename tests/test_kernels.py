@@ -258,15 +258,20 @@ class TestLocalAverage:
 
 class TestSerialization:
     def test_round_trip(self):
-        kernels = [
-            PowerLawKernel(1, 2, dim=3),
-            MorseKernel(4, 1, 0.5, 2, dim=2),
-            TruncatedKernel(PowerLawKernel(-1, 2, dim=2), 10.0),
-            TabulatedKernel(radii=(0.0, 1.0, 2.0), values=(3.0, 1.0, 0.5), dim=1),
+        power_law = {"variant": "power_law", "alpha": 1, "beta": 2, "dim": 2}
+        pairs = [
+            (PowerLawKernel(1, 2, dim=3), dict(power_law, dim=3)),
+            (MorseKernel(4, 1, 0.5, 2, dim=2),
+             {"variant": "morse", "c1": 4, "c2": 1, "l1": 0.5, "l2": 2, "dim": 2}),
+            (TruncatedKernel(PowerLawKernel(-1, 2, dim=2), 10.0),
+             {"variant": "truncated", "level": 10.0, "inner": dict(power_law, alpha=-1)}),
+            (TabulatedKernel(radii=(0.0, 1.0, 2.0), values=(3.0, 1.0, 0.5), dim=1),
+             {"variant": "tabulated", "radii": [0, 1, 2], "values": [3, 1, 0.5], "dim": 1}),
         ]
         rng = np.random.default_rng(6)
-        for k in kernels:
-            k2 = kernel_from_config(k.describe())
+        for k, block in pairs:
+            k2 = kernel_from_config(block)
+            assert k2 == k
             for _ in range(20):
                 v = rng.normal(size=k.dim)
                 assert k2.evaluate(v) == pytest.approx(k.evaluate(v), rel=1e-12)

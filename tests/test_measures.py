@@ -10,7 +10,6 @@ from rieszmin import (
     UniformBallMeasure,
     UniformBoxMeasure,
     ValidationError,
-    atoms_measure,
     single_atom,
 )
 
@@ -139,7 +138,7 @@ class TestUniformBall:
 
 class TestAtomsMix:
     def test_weighted_atoms(self):
-        mu = atoms_measure([[0.0], [1.0]], [0.25, 0.75])
+        mu = AtomicMeasure([[0.0], [1.0]], [0.25, 0.75])
         root = mu.root_restriction()
         assert root.axis_threshold(0, 0.2) == 0.0
         assert root.axis_threshold(0, 0.5) == 1.0
