@@ -32,8 +32,8 @@ from .energy import (
     worker_threads,
 )
 from .errors import NumericalError, UsageError, ValidationError
-from .io import (DEFAULT_SEED, config_number, dump_report, flag, load_json_config,
-                 measure_from_config, whole)
+from .io import (DEFAULT_SEED, config_number, config_path, dump_report, flag,
+                 load_json_config, measure_from_config, whole)
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
 from .minimizer import (
     InitSpec,
@@ -152,7 +152,7 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     elif kind == "user":
         if "path" not in init_block:
             raise UsageError("config 'minimize.init' block of kind 'user' is missing key 'path'")
-        start = load_configuration_csv(os.path.join(base_dir, init_block["path"]))
+        start = load_configuration_csv(config_path(init_block, "path", base_dir))
         init = InitSpec(kind=kind, config=start)
     else:
         init = InitSpec(kind=kind, scale=config_number(init_block, "scale", float, 1.0))
@@ -292,7 +292,7 @@ def _cmd_diagnose(args) -> int:
         raise UsageError("diagnose needs a configuration CSV (argument or config key)")
     # the argument is relative to the working directory, the key to the config's
     cfg = load_configuration_csv(args.configuration
-                                 or os.path.join(base_dir, config["configuration"]))
+                                 or config_path(config, "configuration", base_dir))
     block = _settings(config.get("diagnostics"), "diagnostics", cluster_classify, ("gap_factor",))
     el = el_residual(cfg, kernel, seed)
     clusters = cluster_classify(cfg, **block)

@@ -3,16 +3,18 @@ Monte-Carlo continuum energy.
 
 Every pair sum goes through one blocked pass, _pair_pass, whose cache-sized
 blocks may run on worker threads (worker_threads); each block writes its own
-rows, so results do not depend on the schedule.  Sums over a family run in
-its canonical point order (lexicographic sort of the coordinates), so
-results are bit-identical under permutation of the input points.  Desk
-scale (n up to ~10^4) keeps the O(n^2) sums practical.
+rows, so results do not depend on the schedule.  A block builds its distances,
+and a gradient's differences, one axis at a time in buffers its thread keeps.
+Sums over a family run in its canonical point order (lexicographic sort of
+the coordinates), so results are bit-identical under permutation of the
+input points.  Desk scale (n up to ~10^4) keeps the O(n^2) sums practical.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
@@ -27,6 +29,7 @@ from .kernels import Kernel
 _BLOCK_ELEMENTS = 2**16  # pairs per block: its few float buffers fit a 2 MB L2 cache
 # the pool getter of the enclosing worker_threads block; worker threads see None
 _POOL: ContextVar = ContextVar("rieszmin_pair_pool", default=None)
+_SCRATCH = threading.local()  # each thread's block buffers, kept from pass to pass
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +41,8 @@ def _as_points(points, what: str = "points") -> np.ndarray:
     pts = np.array(points, dtype=float, copy=True)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
-        raise ValidationError(f"{what} must be an (n, dim) array, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] < 1:  # the pair pass builds distances from axis 0 on
+        raise ValidationError(f"{what} must be an (n, dim >= 1) array, got shape {pts.shape}")
     if pts.size and not np.all(np.isfinite(pts)):
         raise ValidationError(f"{what} must have finite coordinates")
     pts.setflags(write=False)
@@ -136,6 +139,15 @@ def worker_threads(count: int):
             made.shutdown()
 
 
+def _scratch(name: str, shape: tuple) -> np.ndarray:
+    """This thread's buffer ``name`` as a C-contiguous array of ``shape``; it
+    grows to the largest block yet, never below _BLOCK_ELEMENTS, and is kept."""
+    size = math.prod(shape)
+    if len(getattr(_SCRATCH, name, ())) < size:
+        setattr(_SCRATCH, name, np.empty(max(size, _BLOCK_ELEMENTS)))
+    return getattr(_SCRATCH, name)[:size].reshape(shape)
+
+
 def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = None,
                order: Optional[np.ndarray] = None, grad: bool = False,
                extent: bool = False):
@@ -159,13 +171,17 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
 
     def block(start):
         chunk = rows[start:start + step]
-        # squares summed in axis order, as np.linalg.norm sums them for dim < 8
-        d = np.subtract.outer(chunk[:, 0], axes[0])
-        np.square(d, out=d)
-        part = np.empty_like(d)
-        for k in range(1, rows.shape[1]):
-            d += np.square(np.subtract.outer(chunk[:, k], axes[k], out=part), out=part)
-        del part  # the kernel's temporaries can then reuse its cache-warm memory
+        shape = (len(chunk), len(cols))
+        d, part = _scratch("d", shape), _scratch("part", shape)
+        # a gradient pass keeps the differences r_i - c_j, with the bits and C layout of
+        # broadcasting; squares summed in axis order, as np.linalg.norm sums them for dim < 8
+        diffs = _scratch("diffs", shape + (rows.shape[1],)) if grad else None
+        for k in range(rows.shape[1]):
+            into = part if k else d
+            diff = np.subtract.outer(chunk[:, k], axes[k], out=diffs[:, :, k] if grad else into)
+            np.square(diff, out=into)
+            if k:
+                d += part
         np.sqrt(d, out=d)
         # the skipped pairs i == j of this block; none for two families
         k = np.arange(len(chunk) if order is not None else 0)
@@ -185,14 +201,13 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
                     f"coincident points {order[start + i]} and {order[j]}: "
                     "gradient undefined at zero separation"
                 )
-            w = np.asarray(kernel.radial_prime(d), dtype=float) / d
+            w = np.divide(kernel.radial_prime(d), d, out=part)
             w[eye] = 0.0
-            diffs = chunk[:, None, :] - cols[None, :, :]
-            values[start:start + len(chunk)] = np.einsum("ij,ijk->ik", w, diffs)
+            np.einsum("ij,ijk->ik", w, diffs, out=values[start:start + len(chunk)])
         else:
             vals = np.asarray(kernel.radial(d), dtype=float)
             vals[eye] = 0.0
-            values[start:start + len(chunk)] = vals.sum(axis=1)
+            np.sum(vals, axis=1, out=values[start:start + len(chunk)])
         return lo, hi
 
     def task(start):

@@ -37,7 +37,7 @@ def load_json_config(path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a binary file fails to decode
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
@@ -66,11 +66,22 @@ def whole(value) -> int:
     return int(value)
 
 
-def flag(value) -> bool:
-    """value itself when it is a JSON true or false: the strict bool cast."""
-    if not isinstance(value, bool):
-        raise ValueError(value)
-    return value
+def _exactly(kind):
+    """The strict cast that passes a value of ``kind`` unchanged and refuses any other."""
+    def cast(value):
+        if not isinstance(value, kind):
+            raise ValueError(value)
+        return value
+    return cast
+
+
+flag = _exactly(bool)  # a JSON true or false, where bool() takes any non-empty string
+
+
+def config_path(block: dict, key: str, base_dir: str) -> str:
+    """block[key], a file name relative to the config file's directory
+    ``base_dir``, joined to it; a value that is not a string is a UsageError."""
+    return os.path.join(base_dir, config_number(block, key, _exactly(str)))
 
 
 def floats(value):
@@ -160,7 +171,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
                                   cells_per_axis=config_number(block, "cells_per_axis", int, None))
     if kind == "cloud":
         dim = config_number(block, "dim", int, None)
-        points, weights = load_cloud_csv(os.path.join(base_dir, block["path"]), dim)
+        points, weights = load_cloud_csv(config_path(block, "path", base_dir), dim)
         return AtomicMeasure(points, weights)
     if kind == "atoms":
         return AtomicMeasure(config_number(block, "positions", floats),

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GradientUndefinedError, IntegrabilityError, UsageError, ValidationError
-from .io import _read_rows, config_number, floats
+from .io import _read_rows, config_number, config_path, floats
 from .quadrature import (
     refining_cube_integral,
     refining_radial_integral,
@@ -526,9 +526,7 @@ def kernel_from_config(block: dict, base_dir: str = ".") -> Kernel:
         return TruncatedKernel(inner=inner, level=config_number(block, "level"))
     if variant in ("tabulated", "tabulated_radial"):
         if "path" in block:
-            import os
-
-            radii, values = load_radial_csv(os.path.join(base_dir, block["path"]))
+            radii, values = load_radial_csv(config_path(block, "path", base_dir))
         else:
             radii = config_number(block, "radii", floats)
             values = config_number(block, "values", floats)

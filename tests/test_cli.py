@@ -408,6 +408,26 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("check-kernel", {"kernel": {"variant": "tabulated", "path": 3}}, "path"),
+        ("quantize", {"measure": {"type": "cloud", "path": 3}}, "path"),
+        ("minimize", {"minimize": {"init": {"kind": "user", "path": 3}}}, "path"),
+        ("diagnose", {"configuration": 3}, "configuration"),
+    ])
+    def test_path_that_is_not_a_string_is_one_error_line(self, tmp_path, capsys,
+                                                         command, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+    def test_binary_config_file_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["check-kernel", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(cfg) in err
+
     def test_configuration_key_is_relative_to_the_config(self, tmp_path, monkeypatch):
         run = tmp_path / "run"
         run.mkdir()

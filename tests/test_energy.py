@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,10 @@ class TestDiscreteEnergy:
         assert ev.value == 0.0
         assert ev.pair_count == 0
         assert ev.min_pair_distance == math.inf
+
+    def test_points_without_coordinates_are_rejected(self):
+        with pytest.raises(ValidationError, match="dim >= 1"):
+            Configuration(np.zeros((3, 0)))
 
     def test_three_collinear_points(self):
         # hand sum: (2/9) (g(1) + g(1) + g(2)) with g(1) = -1/2, g(2) = 0
@@ -209,6 +214,24 @@ class TestWorkerThreads:
             pair_interaction_sum(pts, Recording(1, 2, dim=2))
         assert len(seen) > 1
         assert all(not on_main and err == want for on_main, err in seen)
+
+
+class TestBlockBuffers:
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_a_warm_pass_allocates_about_one_block(self, grad):
+        """Once this thread has run a pass, a pass at n=200 (one block)
+        allocates little besides the kernel's (200, 200) result."""
+        pts = np.random.default_rng(0).normal(size=(200, 2))
+        order = energy._canonical_order(pts)
+        pts = pts[order]
+        energy._pair_pass(pts, pts, PL2, order, grad)
+        tracemalloc.start()
+        try:
+            energy._pair_pass(pts, pts, PL2, order, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * pts.shape[0]**2 * 8
 
 
 class TestPotential:

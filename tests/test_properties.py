@@ -196,6 +196,8 @@ def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
 @example(n=2, m=0, dim=3, seed=0, kernel="morse", grad=True)
 @example(n=257, m=0, dim=2, seed=1, kernel="power_law", grad=False)  # two rows past a block
 @example(n=600, m=1200, dim=6, seed=2, kernel="morse", grad=False)
+@example(n=3, m=70_000, dim=2, seed=3, kernel="power_law", grad=False)  # m > one block
+@example(n=300, m=0, dim=6, seed=4, kernel="morse", grad=True)  # the widest differences
 def test_pair_pass_is_the_dense_reference_for_any_worker_count(n, m, dim, seed, kernel, grad):
     """m = 0 makes the rows and cols one family in canonical order; otherwise
     m points are the cols against n rows, without a gradient."""
