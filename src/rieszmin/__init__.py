@@ -60,8 +60,6 @@ from .minimizer import (
     InitSpec,
     MinimizeResult,
     MinimizeSettings,
-    RepairSettings,
-    StepRule,
     energy_trace,
     minimize,
     repair_outliers,

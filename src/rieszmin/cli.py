@@ -35,13 +35,7 @@ from .errors import NumericalError, UsageError, ValidationError
 from .io import (DEFAULT_SEED, config_number, config_path, dump_report, flag,
                  load_json_config, measure_from_config, whole)
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
-from .minimizer import (
-    InitSpec,
-    MinimizeSettings,
-    RepairSettings,
-    StepRule,
-    minimize,
-)
+from .minimizer import InitSpec, MinimizeSettings, minimize
 from .quantizer import quantize
 from .svg import line_chart_svg, scatter_svg
 
@@ -107,8 +101,8 @@ def _measure(config, base_dir, key="measure", required=True):
         raise UsageError(f"config '{key}' block is missing key {exc}") from None
 
 
-# a setting's cast by the type of its default (None: an optional float; MISSING: a sub-block)
-_CASTS = {bool: flag, int: int, float: float, str: str, type(None): float,
+# a setting's cast by the type of its default (MISSING: a sub-block)
+_CASTS = {bool: flag, int: int, float: float, str: str,
           tuple: lambda value: tuple(map(float, value)), type(MISSING): lambda block: block}
 
 
@@ -156,11 +150,7 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
         init = InitSpec(kind=kind, config=start)
     else:
         init = InitSpec(kind=kind, scale=config_number(init_block, "scale", float, 1.0))
-    step = StepRule(**_settings(block.get("step"), "minimize.step", StepRule))
-    repair = block.get("repair", {})  # null turns the repair move off
-    if repair is not None:
-        repair = RepairSettings(**_settings(repair, "minimize.repair", RepairSettings))
-    return MinimizeSettings(**dict(block, init=init, step=step, repair=repair), seed=seed)
+    return MinimizeSettings(**dict(block, init=init), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ import numpy as np
 from .energy import (
     Configuration,
     _canonical_order,
+    _energy_stats,
     _pair_pass,
     continuum_energy_mc,
-    discrete_energy,
     potential_grid,
 )
 from .errors import ValidationError
@@ -149,8 +149,8 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
       the smallest positive neighbor distance is reported as the spreading
       statistic behind the label.
     """
-    if gap_factor <= 1.0:
-        raise ValidationError("gap_factor must exceed 1")
+    if not 1.0 < gap_factor < math.inf:
+        raise ValidationError("gap_factor must exceed 1 and be finite")
     pts = cfg.points
     n = cfg.n
     if n == 1:
@@ -315,9 +315,8 @@ def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
     rows: List[TraceRow] = []
     for n in n_list:
         qr = quantize(mu, n, kernel, strategy=strategy, k=k, seed=seed)
-        e_q = discrete_energy(qr.config, kernel).value
+        e_q, _, diam = _energy_stats(qr.config.points, kernel)
         dist = bl_distance(qr.config, mu)
-        diam = support_diameter(qr.config)
         e_m = None
         if with_minimization:
             settings = minimize_settings or MinimizeSettings(restarts=4, seed=seed)

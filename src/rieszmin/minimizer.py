@@ -35,46 +35,14 @@ _LBFGS_MEMORY = 10  # (step, gradient change) pairs the direction remembers
 _MAX_BACKTRACKS = 60  # step shrinks per line search before the run stops
 _COLLISION_GUARD = 1e-9  # least pair distance a step may leave, over the diameter
 _OUTWARD_OFFSET = 0.1  # repair sites sit this fraction beyond the farthest bulk point
-
-
-@dataclass(frozen=True)
-class StepRule:
-    """Backtracking line-search parameters."""
-
-    initial: float = 1.0
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-
-    def __post_init__(self):
-        if not (0 < self.shrink < 1 and self.initial > 0 and self.sufficient_decrease > 0):
-            raise ValidationError("bad line-search parameters")
-
-
-@dataclass(frozen=True)
-class RepairSettings:
-    """Outlier relocation move.
-
-    Points beyond far_factor times the bulk quantile radius are replaced by
-    the lowest-potential sites of a regular grid in a small cube placed just
-    outside the farthest bulk point.  grid_side None sizes the cube from the
-    kernel's monotone radius and the bulk radius.
-
-    A single extreme outlier among n points drags the center of mass enough
-    to sit only (n-1) times farther from it than the bulk does, so the
-    defaults stay deliberately tight: median bulk radius, factor 1.5.
-    """
-
-    bulk_radius_quantile: float = 0.5
-    far_factor: float = 1.5
-    grid_side: Optional[float] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.bulk_radius_quantile < 1.0):
-            raise ValidationError("bulk_radius_quantile must be in (0, 1)")
-        if not self.far_factor > 1.0:
-            raise ValidationError("far_factor must exceed 1")
-        if self.grid_side is not None and not self.grid_side > 0:
-            raise ValidationError("grid_side must be positive")
+_SHRINK = 0.5  # a rejected trial step halves
+_ARMIJO = 1e-4  # sufficient-decrease constant of the Armijo test (Nocedal & Wright, Sec. 3.1)
+_REPAIR_PERIOD = 50  # iterations between repair moves
+# A repair outlier lies beyond _FAR_FACTOR times the _BULK_QUANTILE of the distances
+# from the centre of mass.  One far outlier among n points drags that centre enough
+# to sit only (n-1) times farther from it than the bulk does, so both stay tight.
+_BULK_QUANTILE = 0.5
+_FAR_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -101,17 +69,18 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class MinimizeSettings:
+    """grad_tol bounds the largest per-point gradient norm at convergence;
+    repair turns the outlier repair move, made every 50 iterations, on or off."""
+
     restarts: int = 16
     max_iters: int = 2000
     grad_tol: float = 1e-9
     init: InitSpec = field(default_factory=InitSpec)
-    step: StepRule = field(default_factory=StepRule)
-    repair: Optional[RepairSettings] = field(default_factory=RepairSettings)
-    repair_period: int = 50
+    repair: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.grad_tol <= 0:
+        if self.restarts < 1 or self.max_iters < 1 or not self.grad_tol > 0:
             raise ValidationError("restarts, max_iters and grad_tol must be positive")
 
 
@@ -142,35 +111,34 @@ def _max_row_norm(g: np.ndarray) -> float:
     return float(np.sqrt((g * g).sum(axis=1).max()))
 
 
-def repair_outliers(cfg: Configuration, kernel: Kernel,
-                    settings: Optional[RepairSettings] = None) -> Configuration:
+def repair_outliers(cfg: Configuration, kernel: Kernel) -> Configuration:
     """Relocate far outliers onto low-potential grid sites near the bulk.
 
-    Returns the input configuration unchanged when there are no outliers,
-    when the bulk is degenerate, or when the move does not strictly decrease
-    the energy.
+    An outlier lies beyond 1.5 times the median distance from the centre of
+    mass.  Returns the input configuration unchanged when there are no
+    outliers, when the bulk is degenerate, or when the move does not
+    strictly decrease the energy.
     """
-    settings = settings or RepairSettings()
     if cfg.n < 2:
         return cfg
     energy, _, _ = _energy_stats(cfg.points, kernel)
-    repaired = _repair_points(cfg.points, kernel, settings, energy)
+    repaired = _repair_points(cfg.points, kernel, energy)
     if repaired is None:
         return cfg
     return Configuration(repaired[0])
 
 
-def _repair_points(points: np.ndarray, kernel: Kernel, settings: RepairSettings,
+def _repair_points(points: np.ndarray, kernel: Kernel,
                    energy: float) -> Optional[Tuple[np.ndarray, float, float]]:
     """The repair move from points at the given energy: (candidate, its energy,
     its diameter), or None when there is no move or it does not lower the energy."""
     n, dim = points.shape
     center = points.mean(axis=0)
     dists = np.linalg.norm(points - center, axis=1)
-    radius = float(np.quantile(dists, settings.bulk_radius_quantile))
+    radius = float(np.quantile(dists, _BULK_QUANTILE))
     if radius <= 0.0:
         return None  # everything coincident: nothing to anchor the move on
-    outliers = dists > settings.far_factor * radius
+    outliers = dists > _FAR_FACTOR * radius
     count = int(outliers.sum())
     if count == 0 or count == n:
         return None
@@ -186,11 +154,9 @@ def _repair_points(points: np.ndarray, kernel: Kernel, settings: RepairSettings,
     else:
         anchor = bulk_center + (1.0 + _OUTWARD_OFFSET) * (bulk[far_idx] - bulk_center)
 
-    side = settings.grid_side
-    if side is None:
-        r_bar = kernel.near_origin_radius
-        cap = 0.9 * r_bar / math.sqrt(dim) if r_bar else math.inf
-        side = min(cap, 0.5 * max(radius, 1e-12))
+    r_bar = kernel.near_origin_radius
+    cap = 0.9 * r_bar / math.sqrt(dim) if r_bar else math.inf
+    side = min(cap, 0.5 * max(radius, 1e-12))
 
     per_axis = max(1, math.ceil(count ** (1.0 / dim)))
     offsets = (np.arange(per_axis) + 0.5) / per_axis - 0.5
@@ -247,7 +213,6 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
              rng: np.random.Generator):
     """One L-BFGS run; returns (points, energy, gnorm, iters, converged,
     history, repair deltas) or None when the run broke down."""
-    step_rule = settings.step
     energy, min_d, diam = _energy_stats(points, kernel)
     if not math.isfinite(energy):
         return None
@@ -262,9 +227,8 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
 
     for it in range(settings.max_iters):
         iters = it + 1
-        if settings.repair is not None and settings.repair_period > 0 \
-                and it > 0 and it % settings.repair_period == 0:
-            repaired = _repair_points(points, kernel, settings.repair, energy)
+        if settings.repair and it > 0 and it % _REPAIR_PERIOD == 0:
+            repaired = _repair_points(points, kernel, energy)
             if repaired is not None:
                 repair_deltas.append(repaired[1] - energy)
                 points, energy, diam = repaired
@@ -290,7 +254,7 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
         if not slope < 0.0:  # not a descent direction: steepest descent instead
             memory.clear()
             direction, slope = -grad, -float((grad * grad).sum())
-        t = 1.0 if memory else step_rule.initial
+        t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = points + t * direction
@@ -298,12 +262,12 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
             ok = math.isfinite(trial_energy) and trial_min > 0.0
             if ok and guard_needed:
                 ok = trial_min >= _COLLISION_GUARD * max(diam, trial_diam)
-            if ok and trial_energy <= energy + step_rule.sufficient_decrease * t * slope:
+            if ok and trial_energy <= energy + _ARMIJO * t * slope:
                 step, previous_grad = trial - points, grad
                 points, energy, diam = trial, trial_energy, trial_diam
                 accepted = True
                 break
-            t *= step_rule.shrink
+            t *= _SHRINK
         if not accepted:
             break  # no acceptable step left at this scale
     if not converged and iters:
@@ -319,9 +283,11 @@ def minimize(kernel: Kernel, n: int, dim: int,
              settings: Optional[MinimizeSettings] = None) -> MinimizeResult:
     """Best-over-restarts L-BFGS descent on the discrete pair energy.
 
-    Ties between restarts break by lower gradient norm, then restart index.
-    The winning configuration is translated so its center of mass sits at
-    the origin, and its energy is recomputed on the final points.
+    Each line search tries the full step and halves it until the Armijo
+    condition holds.  Ties between restarts break by lower gradient norm,
+    then restart index.  The winning configuration is translated so its
+    center of mass sits at the origin, and its energy is recomputed on the
+    final points.
     """
     settings = settings or MinimizeSettings()
     if kernel.dim != dim:

@@ -330,7 +330,7 @@ class TestParsing:
                                   "cells_per_axis": "many"}}, "cells_per_axis"),
         ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [0, 0],
                                   "hi": [1, 1], "cells_per_axis": "many"}}, "cells_per_axis"),
-        ("minimize", {"minimize": {"repair": {"grid_side": "wide"}}}, "grid_side"),
+        ("minimize", {"minimize": {"repair": {}}}, "repair"),
         ("quantize", {"measure": {"type": "cloud", "path": "cloud.csv", "dim": "two"}}, "dim"),
         ("check-kernel", {"check_scheme": {"radial_samples": "abc"}}, "radial_samples"),
         # a fraction for an integer key, which int() would truncate
@@ -342,8 +342,8 @@ class TestParsing:
                                   "cells_per_axis": 12.5}}, "cells_per_axis"),
         # a key no settings block knows, or the seed that only the top level sets
         ("minimize", {"minimize": {"restart": 1}}, "restart"),
-        ("minimize", {"minimize": {"step": {"shrinkk": 0.5}}}, "shrinkk"),
-        ("minimize", {"minimize": {"repair": {"far": 2.0}}}, "far"),
+        ("minimize", {"minimize": {"step": {"shrink": 0.5}}}, "step"),
+        ("minimize", {"minimize": {"repair_period": 50}}, "repair_period"),
         ("minimize", {"minimize": {"seed": 3}}, "seed"),
         ("quantize", {"quantize": {"stratgy": "best-of-k"}}, "stratgy"),
         ("trace", {"trace": {"mc_sample": 100}}, "mc_sample"),
@@ -366,6 +366,8 @@ class TestParsing:
         ("minimize", {"minimize": {"init": {"kind": "quantizer-seeded", "scale": 2,
                                             "measure": {"type": "uniform_box", "lo": [0, 0],
                                                         "hi": [1, 1]}}}}, "scale"),
+        # the repair switch is a bool: a block or null is the wrong type
+        ("minimize", {"minimize": {"repair": None}}, "repair"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
@@ -444,11 +446,16 @@ class TestOutOfRange:
         ("trace", {"trace": {"k": -1}}, "k >= 1"),
         ("minimize", {"minimize": {"init": {"scale": 0}}}, "init scale"),
         ("minimize", {"minimize": {"init": {"scale": -1.5}}}, "init scale"),
+        ("minimize", {"minimize": {"grad_tol": float("nan")}}, "grad_tol"),
+        ("diagnose", {"diagnostics": {"gap_factor": float("nan")}}, "gap_factor"),
+        ("diagnose", {"diagnostics": {"gap_factor": float("inf")}}, "gap_factor"),
     ])
     def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys,
                                                       command, overrides, text):
+        (tmp_path / "pair.csv").write_text("2,2\n0,0\n1,0\n")  # for the diagnose cases
         cfg = write_config(tmp_path, **overrides)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        args = [str(tmp_path / "pair.csv")] if command == "diagnose" else []
+        assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1 and text in err
 
@@ -480,7 +487,7 @@ class TestReadmeConfig:
                             .split("```json")[1].split("```")[0])
         settings = _minimize_settings(config, seed=0)
         assert settings.restarts == config["minimize"]["restarts"]
-        assert settings.repair.far_factor == config["minimize"]["repair"]["far_factor"]
+        assert settings.repair is config["minimize"]["repair"] is True
         for key, of, names in [
             ("check_scheme", CheckScheme, ()),
             ("quantize", quantize, ("strategy", "k")),

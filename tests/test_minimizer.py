@@ -17,7 +17,6 @@ from rieszmin import minimizer
 from rieszmin.minimizer import (
     InitSpec,
     MinimizeSettings,
-    RepairSettings,
     _descend,
     _lbfgs_direction,
     energy_trace,
@@ -118,7 +117,7 @@ class TestSearchDirection:
         uphill = [(-y, y, -1.0 / float((y * y).sum()))]
         assert float((grad * _lbfgs_direction(grad, uphill)).sum()) > 0
         start = rng.normal(size=(7, 2))
-        settings = MinimizeSettings(max_iters=1, repair=None)
+        settings = MinimizeSettings(max_iters=1, repair=False)
         steepest = _descend(start, PL2, settings, None)
         with mock.patch.object(minimizer, "_lbfgs_direction",
                                lambda g, memory: _lbfgs_direction(g, uphill)):
@@ -135,7 +134,7 @@ class TestSearchDirection:
             sizes.append(len(memory))
             return _lbfgs_direction(g, memory)
 
-        settings = MinimizeSettings(restarts=1, seed=17, repair=None, grad_tol=1e-8,
+        settings = MinimizeSettings(restarts=1, seed=17, repair=False, grad_tol=1e-8,
                                     init=InitSpec(scale=0.05))
         with mock.patch.object(minimizer, "_lbfgs_direction", spy):
             res = minimize(k, 20, 2, settings)
@@ -168,7 +167,6 @@ class TestRepair:
 
     def test_never_increases_energy(self):
         rng = np.random.default_rng(12)
-        settings = RepairSettings()
         for _ in range(25):
             n = int(rng.integers(3, 30))
             pts = rng.normal(size=(n, 2))
@@ -177,12 +175,26 @@ class TestRepair:
                 pts[:far] = rng.normal(size=(far, 2)) * 200.0
             cfg = Configuration(pts)
             before = discrete_energy(cfg, PL2).value
-            after = discrete_energy(repair_outliers(cfg, PL2, settings), PL2).value
+            after = discrete_energy(repair_outliers(cfg, PL2), PL2).value
             assert after <= before + 1e-15
 
     def test_degenerate_coincident_cloud_unchanged(self):
         cfg = Configuration(np.zeros((5, 2)))
         assert repair_outliers(cfg, MorseKernel(4, 1, 0.5, 2, dim=2)) is cfg
+
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_minimize_makes_the_periodic_move_only_when_on(self, repair):
+        # a far point that the descent alone has not pulled in by iteration 50
+        pts = np.random.default_rng(3).normal(size=(15, 2))
+        pts[0] = (60.0, 0.0)
+        settings = MinimizeSettings(restarts=1, seed=1, max_iters=120, grad_tol=1e-14,
+                                    init=InitSpec(kind="user", config=Configuration(pts)),
+                                    repair=repair)
+        res = minimize(MorseKernel(4, 1, 0.5, 2, dim=2), 15, 2, settings)
+        if repair:
+            assert len(res.repair_events) == 1 and res.repair_events[0] < 0
+        else:
+            assert res.repair_events == []
 
 
 class TestEnergyTrace:
