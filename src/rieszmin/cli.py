@@ -19,18 +19,9 @@ from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
-from .diagnostics import (
-    cluster_classify,
-    el_residual,
-    gamma_trace,
-    support_diameter,
-)
-from .energy import (
-    discrete_energy,
-    load_configuration_csv,
-    save_configuration_csv,
-    worker_threads,
-)
+from .diagnostics import cluster_classify, el_residual, gamma_trace
+from .energy import (EnergyValue, _energy_stats, discrete_energy, load_configuration_csv,
+                     save_configuration_csv, worker_threads)
 from .errors import NumericalError, UsageError, ValidationError
 from .io import (DEFAULT_SEED, config_number, config_path, dump_report, flag,
                  load_json_config, measure_from_config, whole)
@@ -286,11 +277,12 @@ def _cmd_diagnose(args) -> int:
     block = _settings(config.get("diagnostics"), "diagnostics", cluster_classify, ("gap_factor",))
     el = el_residual(cfg, kernel, seed)
     clusters = cluster_classify(cfg, **block)
+    value, lo, diameter = _energy_stats(cfg.points, kernel)  # one pass: energy and diameter
     payload = {
         "el": el.as_dict(),
         "clusters": clusters.as_dict(),
-        "support_diameter": support_diameter(cfg),
-        "energy": discrete_energy(cfg, kernel).as_dict(),
+        "support_diameter": diameter,
+        "energy": EnergyValue(value, cfg.n * (cfg.n - 1), lo).as_dict(),
     }
     dump_report(payload, os.path.join(out_dir, "diagnose.json"))
     print(f"potential spread {el.potential_spread:.6g}, mean {el.mean_potential:.6g}")

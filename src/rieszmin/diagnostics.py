@@ -148,6 +148,15 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
       few chunks.  The max mass found in any point-centered ball of half
       the smallest positive neighbor distance is reported as the spreading
       statistic behind the label.
+
+    Neighbor distances, links, ball counts and the gap are reductions of the
+    pair pass's blocks, and clusters the components of the links, so memory
+    grows as O(n) plus the number of linked pairs.  The passes run over the
+    points sorted on their first coordinate, each within a reach: the
+    threshold for links, for neighbors the nearest of the 16 points on
+    either side in that order, and for the gap the nearest two points next
+    in that order from two clusters.  A pair is linked when its distance,
+    as the pair pass computes it, is at most the threshold.
     """
     if not 1.0 < gap_factor < math.inf:
         raise ValidationError("gap_factor must exceed 1 and be finite")
@@ -158,23 +167,39 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
                               center=pts[0].copy(), radius=0.0)
         return ClusterReport("compactness", [cluster], 1.0, math.inf, 0.0, 0.0, 1.0, 0.0)
 
-    # imported here so that commands without a classifier do not pay for them
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    nn = tree.query(pts, k=2)[0][:, 1]
+    # one family sorted on its first coordinate, so that each pass meets only the cols
+    # within its reach; a point's nn is at most its distance to any of the 16 points on
+    # either side of it in that order
+    order = _canonical_order(pts)
+    sp = pts[order]
+    bound = np.full(n, math.inf)
+    for s in range(1, min(n, 17)):
+        near = np.linalg.norm(sp[s:] - sp[:-s], axis=1)
+        np.minimum(bound[s:], near, out=bound[s:])
+        np.minimum(bound[:-s], near, out=bound[:-s])
+    nn = np.concatenate(_pair_pass(sp, sp, order=order, reach=bound,
+                                   each=lambda d, i, j: d.min(axis=1))[0])
     median_nn = float(np.median(nn))
     threshold = gap_factor * median_nn
 
-    # the tree tests squared distances against threshold**2, which can settle a tie the
-    # other way; query a hair wider, then link d <= threshold with d computed as in _pair_pass
-    pairs = tree.query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
-    i, j = pairs[np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1) <= threshold].T
-    graph = coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
-    labels = connected_components(graph, directed=False)[1]
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    def links(d, i, j):  # the pairs within the threshold, each once
+        rows, cols = np.divmod(np.flatnonzero(d <= threshold), d.shape[1])
+        rows += i
+        cols += j
+        return np.stack([rows, cols])[:, cols > rows]
+
+    pairs = order[np.hstack(_pair_pass(sp, sp, order=order, reach=threshold, each=links)[0])]
+    # hook each link's larger root under its smaller one and jump every label to its root,
+    # until no link joins two labels; each label is then its component's smallest index
+    labels = np.arange(n)
+    while pairs.size:
+        roots = labels[pairs]
+        np.minimum.at(labels, roots.max(axis=0), roots.min(axis=0))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        pairs = pairs[:, labels[pairs[0]] != labels[pairs[1]]]
+    sizes = np.bincount(labels)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes[sizes > 0])[:-1])
 
     clusters: List[ClusterInfo] = []
     for idx in members:
@@ -185,21 +210,38 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
     clusters.sort(key=lambda c: (-c.mass_fraction, c.indices[0]))
     largest = clusters[0].mass_fraction
 
-    # each cluster against all later ones covers every inter-cluster pair once
-    by_cluster = pts[np.concatenate([c.indices for c in clusters])]
-    bounds = np.cumsum([0] + [len(c.indices) for c in clusters])
-    gap = min((_pair_pass(by_cluster[a:b], by_cluster[b:], extent=True)[1]
-               for a, b in zip(bounds[:-2], bounds[1:-1])), default=math.inf)
+    # each cluster of 5% or more against all later ones, and the lighter ones among
+    # themselves in one pass, meet every inter-cluster pair; two points next in sorted
+    # order from two clusters are no nearer than the gap, which bounds the reach
+    rank = np.empty(n, int)
+    for r, c in enumerate(clusters):
+        rank[c.indices] = r
+    rank = rank[order]
+    steps = np.diff(sp, axis=0)[rank[1:] != rank[:-1]]
+    reach = np.linalg.norm(steps, axis=1).min(initial=math.inf)
+    heavy = [c for c in clusters if c.mass_fraction >= 0.05]  # the first ranks
+    gaps = [_pair_pass(sp[rank == r], sp[rank > r], extent=True, reach=reach)[1]
+            for r in range(min(len(heavy), len(clusters) - 1))]
+    light = rank >= len(heavy)
+    light_rank = rank[light]
 
+    def cross(d, i, j):  # the least distance between two light clusters' points
+        other = light_rank[i:i + len(d), None] != light_rank[j:j + d.shape[1]]
+        return d.min(initial=math.inf, where=other)
+
+    gap = min(gaps + _pair_pass(sp[light], sp[light], reach=reach, each=cross)[0], default=math.inf)
+
+    # a point with a positive nn has no other point within ball_radius <= nn / 2, so only
+    # the points with a coincident partner are counted, each against all points
     positive_nn = nn[nn > 0]
     ball_radius = 0.5 * float(positive_nn.min()) if positive_nn.size else 0.0
-    ball_counts = tree.query_ball_point(pts, ball_radius, return_length=True)
-    max_ball_mass = float(ball_counts.max()) / n
+    counts = _pair_pass(sp[nn == 0.0], sp, reach=ball_radius,
+                        each=lambda d, i, j: (d <= ball_radius).sum(axis=1))[0]
+    max_ball_mass = float(max((c.max() for c in counts), default=1)) / n
 
     if largest >= 0.99:
         label = "compactness"
     else:
-        heavy = [c for c in clusters if c.mass_fraction >= 0.05]
         max_radius = max(c.radius for c in clusters)
         if len(heavy) >= 2 and gap > 10.0 * max_radius:
             label = "dichotomy-like"

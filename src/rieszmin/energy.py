@@ -4,7 +4,10 @@ Monte-Carlo continuum energy.
 Every pair sum goes through one blocked pass, _pair_pass, whose cache-sized
 blocks may run on worker threads (worker_threads); each block writes its own
 rows, so results do not depend on the schedule.  A block builds its distances,
-and a gradient's differences, one axis at a time in buffers its thread keeps.
+and a gradient's differences, one axis at a time in buffers its thread keeps;
+a caller's per-block reducer may take its own reduction of those distances,
+and a pass over points sorted on their first coordinate may meet only the
+pairs within a reach.
 Sums over a family run in its canonical point order (lexicographic sort of
 the coordinates), so results are bit-identical under permutation of the
 input points.  Desk scale (n up to ~10^4) keeps the O(n^2) sums practical.
@@ -150,49 +153,79 @@ def _scratch(name: str, shape: tuple) -> np.ndarray:
 
 def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = None,
                order: Optional[np.ndarray] = None, grad: bool = False,
-               extent: bool = False):
+               extent: bool = False, each=None, reach=None):
     """The one blocked pass over point pairs (rows[i], cols[j]).
 
-    Each (B, len(cols)) distance block is computed once, and only the
-    reductions asked for are taken from it: with a kernel, the per-row sums
-    of g(|r_i - c_j|), or with grad=True the per-row sums of
-    g'(d)/d (r_i - c_j); with extent=True the min and max distance.  A given
-    ``order`` says rows and cols are both points[order], one family in
-    canonical order: the pairs i == j are skipped, and coincident points
-    met by the gradient are named by their indices in points (the first
-    such pair of the first failing block in block order, for any schedule).
+    Each distance block, B rows by len(cols) unless a reach narrows it, is
+    computed once, and only the reductions asked for are taken from it:
+    with a kernel, the per-row sums of g(|r_i - c_j|), or with grad=True the
+    per-row sums of g'(d)/d (r_i - c_j); with extent=True the min and max
+    distance; with ``each``, each(d, i, j) of the block of rows i, i + 1, ...
+    against the cols j, j + 1, ..., instead of a kernel's sums (it must not
+    keep d, a reused buffer).  A given ``reach`` (a scalar or one per row;
+    rows and cols sorted on their first coordinate) narrows each block to
+    the cols whose first coordinate lies within a row's reach of that row's;
+    every pair whose distance is within its row's reach stays.  A given
+    ``order`` says rows and cols are both points[order], one family (the
+    pair sums pass it in canonical order): the pairs i == j are skipped
+    (each sees them at +inf), and coincident points met by the gradient are
+    named by their indices in points (the first such pair of the first
+    failing block in block order, for any schedule).
 
-    Returns (per-row values or None, min distance, max distance).
+    Returns (per-row values, the list of each's results in block order, or
+    None; min distance; max distance).
     """
     values = None if kernel is None else np.empty(rows.shape if grad else len(rows))
     axes = np.ascontiguousarray(cols.T)
     step = max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
     errstate = np.geterr()  # worker threads do not inherit the caller's
 
-    def block(start):
+    first, last = np.zeros(len(rows), int), np.full(len(rows), len(cols))
+    if reach is not None:
+        # a computed distance is at least the first coordinates' difference less a few
+        # rounding units, or less 1e-150 where squares underflow, so the widened reach
+        # keeps every col within the reach
+        wide = np.asarray(reach) * (1.0 + 1e-9) + 1e-150
+        first = np.searchsorted(axes[0], rows[:, 0] - wide)
+        last = np.searchsorted(axes[0], rows[:, 0] + wide, side="right")
+
+    def spans(step):  # each block's first row, first col and col count
+        starts = np.arange(0, len(rows), step)
+        heads = np.minimum.reduceat(first, starts)
+        return starts, heads, np.maximum.reduceat(last, starts) - heads
+
+    while (reach is not None and step < len(rows)
+           and 2 * step * spans(2 * step)[2].max() <= _BLOCK_ELEMENTS):
+        step *= 2  # more rows to a block, while it meets few enough pairs
+
+    def block(start, head, width):
         chunk = rows[start:start + step]
-        shape = (len(chunk), len(cols))
+        shape = (len(chunk), width)
         d, part = _scratch("d", shape), _scratch("part", shape)
         # a gradient pass keeps the differences r_i - c_j, with the bits and C layout of
         # broadcasting; squares summed in axis order, as np.linalg.norm sums them for dim < 8
         diffs = _scratch("diffs", shape + (rows.shape[1],)) if grad else None
         for k in range(rows.shape[1]):
             into = part if k else d
-            diff = np.subtract.outer(chunk[:, k], axes[k], out=diffs[:, :, k] if grad else into)
+            diff = np.subtract.outer(chunk[:, k], axes[k, head:head + width],
+                                     out=diffs[:, :, k] if grad else into)
             np.square(diff, out=into)
             if k:
                 d += part
         np.sqrt(d, out=d)
         # the skipped pairs i == j of this block; none for two families
         k = np.arange(len(chunk) if order is not None else 0)
-        eye = (k, start + k)
+        eye = (k, start + k - head)
         lo, hi = math.inf, 0.0
         if extent:
-            hi = float(d.max())  # a skipped pair sits at distance 0
+            hi = float(d.max(initial=0.0))  # a skipped pair sits at distance 0
             d[eye] = math.inf
-            lo = float(d.min())
+            lo = float(d.min(initial=math.inf))
+        if each is not None:
+            d[eye] = math.inf
+            return each(d, start, head), lo, hi
         if kernel is None:
-            return lo, hi
+            return None, lo, hi
         d[eye] = 1.0  # any finite placeholder; its term is zeroed below
         if grad:
             if np.any(d == 0.0):
@@ -208,19 +241,20 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
             vals = np.asarray(kernel.radial(d), dtype=float)
             vals[eye] = 0.0
             np.sum(vals, axis=1, out=values[start:start + len(chunk)])
-        return lo, hi
+        return None, lo, hi
 
-    def task(start):
+    def task(*span):
         with np.errstate(**errstate):
-            return block(start)
+            return block(*span)
 
-    starts = range(0, len(rows), step)
+    blocks = [span.tolist() for span in spans(step)]
     pool = _POOL.get()
-    bounds = map(block, starts) if pool is None or len(starts) < 2 else pool().map(task, starts)
-    lo, hi = math.inf, 0.0
-    for block_lo, block_hi in bounds:  # in block order, so the first error wins
+    bounds = map(block, *blocks) if pool is None or len(blocks[0]) < 2 else pool().map(task, *blocks)
+    outs, lo, hi = [], math.inf, 0.0
+    for out, block_lo, block_hi in bounds:  # in block order, so the first error wins
+        outs.append(out)
         lo, hi = min(lo, block_lo), max(hi, block_hi)
-    return values, lo, hi
+    return (values if each is None else outs), lo, hi
 
 
 def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:

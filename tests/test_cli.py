@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +177,20 @@ class TestDiagnose:
         assert main(["diagnose", "--config", cfg, str(path), "--out", str(out)]) == 0
         payload = result_payload(out / "diagnose.json")
         assert payload["clusters"]["classification"] == "dichotomy-like"
+
+    def test_diagnose_loads_no_scipy(self, tmp_path):
+        """scipy is only for tabulated kernels; a power-law diagnose runs without it."""
+        path = tmp_path / "pts.csv"
+        path.write_text("2,3\n0,0\n1,0\n5,5\n")
+        cfg = write_config(tmp_path)
+        script = ("import sys; from rieszmin.cli import main; "
+                  f"code = main(['diagnose', '--config', {cfg!r}, {str(path)!r}, "
+                  f"'--out', {str(tmp_path / 'out')!r}]); "
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # this run's rieszmin
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

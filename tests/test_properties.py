@@ -3,7 +3,8 @@ sum permutation-exact, the per-particle potentials reuse the energy's own
 arithmetic, and the pass gives the same bits for any number of worker
 threads as a dense np.linalg.norm reference.  Clouds reach n = 600, so a
 pass spans several blocks.  The gradient matches central finite differences
-of the energy, and the cluster classifier a dense single-linkage reference.
+of the energy, a pass with a reach meets every pair within it, and the
+cluster classifier matches a dense single-linkage reference.
 Energy and gradient are translation invariant, partition cells of atom clouds
 carry exactly 1/l^dim, and the CLI reads a minimize block into the settings
 the dataclasses build from the same values.  The in-place kernel profiles give
@@ -34,7 +35,7 @@ from rieszmin import (
 )
 from rieszmin import energy
 from rieszmin.cli import _minimize_settings
-from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
+from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify, support_diameter
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 from rieszmin.kernels import _FAST_POWERS
 from rieszmin.quantizer import partition, side_count
@@ -87,10 +88,14 @@ def test_gradient_rows_permute_exactly(n, dim, seed, ties, kernel):
 @given(**clouds)
 @example(n=511, dim=2, seed=2195314465, ties=False, kernel="power_law")
 @example(n=303, dim=2, seed=4169308741, ties=True, kernel="morse")
+@example(n=1, dim=2, seed=0, ties=True, kernel="power_law")
 def test_mean_potential_is_the_energy_exactly(n, dim, seed, ties, kernel):
+    """The energy pass's max distance is also the support diameter, so
+    diagnose takes both from one pass."""
     cfg = Configuration(make_points(n, dim, seed, ties))
     k = make_kernel(kernel, dim)
     assert el_residual(cfg, k).mean_potential == discrete_energy(cfg, k).value
+    assert support_diameter(cfg) == energy._energy_stats(cfg.points, k)[2]
 
 
 @SETTINGS
@@ -216,6 +221,37 @@ def test_pair_pass_is_the_dense_reference_for_any_worker_count(n, m, dim, seed, 
         assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])
 
 
+@SETTINGS
+@given(n=st.integers(2, 600), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       offset=st.sampled_from([0.0, 1e8]), scale=st.sampled_from([1.0, 1e-7, 1e-160]))
+@example(n=300, dim=2, seed=0, offset=1e8, scale=1e-7)  # first coordinates that round
+@example(n=300, dim=2, seed=1, offset=0.0, scale=1e-160)  # squares that underflow
+def test_a_reach_pass_meets_every_pair_within_reach(n, dim, seed, offset, scale):
+    """Over one family sorted on its first coordinate, a pass with a reach
+    per row counts the same pairs within it as the full pass; each reach is
+    a distance of its row, so pairs tie with it."""
+    pts = offset + scale * np.round(make_points(n, dim, seed, True), 1)
+    order = energy._canonical_order(pts)
+    pts = pts[order]
+    dense = np.vstack(_pair_pass(pts, pts, order=order, each=lambda d, i, j: d.copy())[0])
+    reach = np.sort(dense, axis=1)[:, min(3, n - 2)]
+    for count in (1, 2):
+        with workers(count):
+            got = _pair_pass(pts, pts, order=order, reach=reach,
+                             each=lambda d, i, j: (d <= reach[i:i + len(d), None]).sum(axis=1))
+        assert np.array_equal(np.concatenate(got[0]), (dense <= reach[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("pts, reach", [([-1e-17, 1.0], 1.0), ([0.0, 1.5e-162], 0.0)])
+def test_a_reach_pass_keeps_pairs_farther_apart_on_the_first_axis(pts, reach):
+    """1 - (-1e-17) rounds to 1 and 1.5e-162**2 underflows to 0, so each
+    pair's pass distance is within the reach though its first coordinates
+    lie farther apart than the reach."""
+    pts = np.array(pts).reshape(-1, 1)
+    got = _pair_pass(pts[1:], pts, reach=reach, each=lambda d, i, j: (d <= reach).sum(axis=1))
+    assert np.concatenate(got[0]).tolist() == [2]
+
+
 def test_gradient_error_names_the_first_block_for_any_worker_count():
     pts = np.arange(600.0).reshape(-1, 1)  # canonical order is the input order
     pts[1], pts[501] = pts[0], pts[500]
@@ -287,29 +323,43 @@ def dense_single_linkage(pts, gap_factor):
 def cluster_cloud(n, dim, seed, kind):
     """Blobs of normal points; 'duplicates' repeats a third of the points,
     'lattice' snaps them to a 0.1 grid, where many distances tie and the
-    link threshold can fall exactly on one of them."""
+    link threshold can fall exactly on one of them.  'coincident' puts more
+    than half of the points on one site, so the median neighbour distance
+    and the link threshold are 0 and the ball radius exceeds the threshold.
+    'chain' spaces points along the first axis by exponential gaps, in
+    shuffled index order, so a chain's links join it over several rounds."""
     rng = np.random.default_rng(seed)
+    if kind == "chain":
+        pts = np.zeros((n, dim))
+        pts[rng.permutation(n), 0] = np.cumsum(rng.exponential(size=n))
+        return pts
     centers = 12.0 * rng.normal(size=(int(rng.integers(1, 5)), dim))
     pts = centers[rng.integers(0, len(centers), n)] + rng.normal(size=(n, dim))
     if kind == "duplicates":
         pts[rng.integers(0, n, n // 3)] = pts[rng.integers(0, n, n // 3)]
     elif kind == "lattice":
         pts = np.round(pts, 1)
+    elif kind == "coincident":
+        pts[rng.permutation(n)[:n // 2 + 1]] = pts[rng.integers(0, n)]
     return pts
 
 
 @SETTINGS
 @given(n=st.integers(1, 600), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["normal", "duplicates", "lattice"]),
+       kind=st.sampled_from(["normal", "duplicates", "lattice", "coincident", "chain"]),
        gap_factor=st.floats(1.0, 20.0, exclude_min=True))
 @example(n=1, dim=2, seed=0, kind="normal", gap_factor=5.0)
 @example(n=246, dim=2, seed=58, kind="lattice", gap_factor=2.0)  # a link distance ties the threshold
+@example(n=301, dim=2, seed=3, kind="coincident", gap_factor=5.0)
+@example(n=600, dim=2, seed=4, kind="chain", gap_factor=10.0)  # four union-find rounds
 def test_cluster_classify_matches_dense_single_linkage(n, dim, seed, kind, gap_factor):
     pts = cluster_cloud(n, dim, seed, kind)
-    got = cluster_classify(Configuration(pts), gap_factor)
     want = dense_single_linkage(pts, gap_factor)
-    assert got.as_dict() == want.as_dict()
-    assert [c.indices.tolist() for c in got.clusters] == [c.indices.tolist() for c in want.clusters]
+    for count in (1, 2):
+        with workers(count):
+            got = cluster_classify(Configuration(pts), gap_factor)
+        assert got.as_dict() == want.as_dict()
+        assert [c.indices.tolist() for c in got.clusters] == [c.indices.tolist() for c in want.clusters]
 
 
 @SETTINGS
