@@ -20,11 +20,11 @@ from dataclasses import MISSING, fields, is_dataclass
 import numpy as np
 
 from .diagnostics import cluster_classify, el_residual, gamma_trace
-from .energy import (EnergyValue, _energy_stats, discrete_energy, load_configuration_csv,
-                     save_configuration_csv, worker_threads)
+from .energy import (discrete_energy, load_configuration_csv, save_configuration_csv,
+                     worker_threads)
 from .errors import NumericalError, UsageError, ValidationError
 from .io import (DEFAULT_SEED, config_number, config_path, dump_report, flag,
-                 load_json_config, measure_from_config, whole)
+                 load_json_config, measure_from_config, real, whole)
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
 from .minimizer import InitSpec, MinimizeSettings, minimize
 from .quantizer import quantize
@@ -66,6 +66,8 @@ def _build_parser() -> _Parser:
 def _setup(args):
     config = load_json_config(args.config)
     seed = args.seed if args.seed is not None else config_number(config, "seed", int, DEFAULT_SEED)
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     out_dir = args.out or config.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -94,7 +96,7 @@ def _measure(config, base_dir, key="measure", required=True):
 
 # a setting's cast by the type of its default (MISSING: a sub-block)
 _CASTS = {bool: flag, int: int, float: float, str: str,
-          tuple: lambda value: tuple(map(float, value)), type(MISSING): lambda block: block}
+          tuple: lambda value: tuple(map(real, value)), type(MISSING): lambda block: block}
 
 
 def _block(block, name) -> dict:
@@ -277,13 +279,8 @@ def _cmd_diagnose(args) -> int:
     block = _settings(config.get("diagnostics"), "diagnostics", cluster_classify, ("gap_factor",))
     el = el_residual(cfg, kernel, seed)
     clusters = cluster_classify(cfg, **block)
-    value, lo, diameter = _energy_stats(cfg.points, kernel)  # one pass: energy and diameter
-    payload = {
-        "el": el.as_dict(),
-        "clusters": clusters.as_dict(),
-        "support_diameter": diameter,
-        "energy": EnergyValue(value, cfg.n * (cfg.n - 1), lo).as_dict(),
-    }
+    payload = {"el": el.as_dict(), "clusters": clusters.as_dict(),
+               "support_diameter": el.diameter, "energy": el.energy.as_dict()}
     dump_report(payload, os.path.join(out_dir, "diagnose.json"))
     print(f"potential spread {el.potential_spread:.6g}, mean {el.mean_potential:.6g}")
     print(f"classification: {clusters.classification} "

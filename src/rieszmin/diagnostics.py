@@ -17,6 +17,7 @@ import numpy as np
 
 from .energy import (
     Configuration,
+    EnergyValue,
     _canonical_order,
     _energy_stats,
     _pair_pass,
@@ -46,17 +47,21 @@ class ELReport:
     potential_spread: float
     exterior_min_gap: float
     probe_scheme: str
+    energy: EnergyValue  # with diameter, from the pass behind the particle potentials
+    diameter: float
     particle_potentials: np.ndarray = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "particle_potentials"}
+        return {k: v for k, v in asdict(self).items()
+                if k not in ("particle_potentials", "energy", "diameter")}
 
 
 def el_residual(cfg: Configuration, kernel: Kernel, seed: int = 0) -> ELReport:
     """Per-particle self-excluded potentials and their spread.
 
     They come from the same canonical-order pass as the discrete energy, so
-    their mean equals discrete_energy(cfg, kernel).value bit for bit; at a
+    their mean equals discrete_energy(cfg, kernel).value bit for bit; that
+    pass also gives the report's energy and support diameter.  At a
     minimizer the spread shrinks as the discrete first-order conditions
     equalize the potentials.  Probe points on spheres around the cloud
     report the smallest exterior gap potential(probe) - energy; ``seed``
@@ -68,28 +73,30 @@ def el_residual(cfg: Configuration, kernel: Kernel, seed: int = 0) -> ELReport:
     n = cfg.n
     order = _canonical_order(pts)
     canonical = pts[order]
-    row_sums, _, _ = _pair_pass(canonical, canonical, kernel, order)
+    row_sums, lo, hi = _pair_pass(canonical, canonical, kernel, order, extent=True)
     mean = float(row_sums.sum()) / n**2  # discrete_energy's own arithmetic
     psi = (row_sums / n)[np.argsort(order)]
-    spread = float(psi.max() - psi.min())
+    with np.errstate(invalid="ignore"):  # all potentials +inf: the spread is nan
+        spread = float(psi.max() - psi.min())
 
     center = pts.mean(axis=0)
     radius = float(np.linalg.norm(pts - center, axis=1).max())
     radius = max(radius, 1e-9)
-    rng = np.random.default_rng(seed)
-    gap = math.inf
-    for factor in _PROBE_RADIUS_FACTORS:
-        direction = rng.normal(size=(_PROBES_PER_SPHERE, cfg.dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        sites = center[None, :] + factor * radius * direction
-        values = potential_grid(pts, 1.0 / n, kernel, sites)
-        gap = min(gap, float(np.min(values) - mean))
+    direction = np.random.default_rng(seed).normal(
+        size=(len(_PROBE_RADIUS_FACTORS), _PROBES_PER_SPHERE, cfg.dim))
+    direction /= np.linalg.norm(direction, axis=2, keepdims=True)
+    factors = np.array(_PROBE_RADIUS_FACTORS)[:, None, None]
+    sites = center + factors * radius * direction
+    values = potential_grid(pts, 1.0 / n, kernel, sites.reshape(-1, cfg.dim))
+    # the least of the spheres' least gaps; min() passes over a nan one (inf - inf)
+    gap = float(min(math.inf, *(values.reshape(len(factors), -1).min(axis=1) - mean)))
     return ELReport(mean_potential=mean, potential_spread=spread,
                     exterior_min_gap=gap,
                     probe_scheme=(f"{_PROBES_PER_SPHERE} probes per sphere at "
                                   f"{list(_PROBE_RADIUS_FACTORS)} x configuration radius, "
                                   f"seed {seed}"),
-                    particle_potentials=psi)
+                    particle_potentials=psi,
+                    energy=EnergyValue(mean, n * (n - 1), lo), diameter=hi)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,8 @@ def potential(source, kernel: Kernel, x, exclude: Optional[int] = None) -> float
     if x.shape != (pts.shape[1],):
         raise ValidationError(f"probe point has dimension {x.shape[0]}, expected {pts.shape[1]}")
     if exclude is not None:
+        if not 0 <= exclude < len(pts):
+            raise ValidationError(f"exclude index {exclude} is out of range for {len(pts)} points")
         pts = np.delete(pts, exclude, axis=0)
     return float(potential_grid(pts, 1.0, kernel, x[None, :])[0]) / denom
 

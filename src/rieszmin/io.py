@@ -49,21 +49,28 @@ def load_json_config(path) -> dict:
 def config_number(block: dict, key: str, cast=float, default=_REQUIRED):
     """block[key] converted by ``cast`` (``default`` when given and the key is
     absent; None, unconverted, for an optional key that is absent or null); a
-    value that does not convert (for int, a fraction too) is a UsageError naming the key."""
+    value that does not convert (a bool, or for int a fraction) is a UsageError naming the key."""
     value = block[key] if default is _REQUIRED else block.get(key, default)
     if value is None and default is None:
         return None
     try:
-        return (whole if cast is int else cast)(value)
+        return {int: whole, float: real}.get(cast, cast)(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
         raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}") from None
 
 
 def whole(value) -> int:
-    """int(value), refusing a fraction that int() would drop: the int cast."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a fraction that int() would drop and a bool: the int cast."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
+
+
+def real(value) -> float:
+    """float(value), refusing a bool (JSON true is no number): the float cast."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
 
 
 def _exactly(kind):
@@ -87,7 +94,7 @@ def config_path(block: dict, key: str, base_dir: str) -> str:
 def floats(value):
     """A number, or lists of numbers nested to any depth, as floats: the
     ``config_number`` cast for list-valued keys."""
-    return [floats(v) for v in value] if isinstance(value, (list, tuple)) else float(value)
+    return [floats(v) for v in value] if isinstance(value, (list, tuple)) else real(value)
 
 
 def _read_rows(path):

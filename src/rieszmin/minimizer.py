@@ -18,13 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import (
-    Configuration,
-    _energy_stats,
-    _pair_pass,
-    gradient_of_points,
-    potential_grid,
-)
+from .energy import Configuration, _energy_stats, gradient_of_points, potential_grid
 from .errors import GradientUndefinedError, OptimizationError, ValidationError
 from .kernels import Kernel
 from .measures import TargetMeasure
@@ -94,6 +88,7 @@ class MinimizeResult:
     converged: bool
     history: List[Tuple[float, float]]
     repair_events: List[float]
+    diameter: float  # the final energy pass's support diameter, not reported
 
     def as_dict(self) -> dict:
         return {
@@ -298,7 +293,7 @@ def minimize(kernel: Kernel, n: int, dim: int,
         cfg = Configuration(np.zeros((1, dim)))
         return MinimizeResult(config=cfg, energy=0.0, grad_norm=0.0, iterations=0,
                               restarts_used=0, converged=True,
-                              history=[(0.0, 0.0)], repair_events=[])
+                              history=[(0.0, 0.0)], repair_events=[], diameter=0.0)
 
     rng = np.random.default_rng(settings.seed)
     streams = rng.spawn(settings.restarts)
@@ -323,11 +318,11 @@ def minimize(kernel: Kernel, n: int, dim: int,
     points, energy, gnorm, iters, converged, history, repair_deltas = best
     points = points - points.mean(axis=0)
     cfg = Configuration(points)
-    final_energy, _, _ = _energy_stats(cfg.points, kernel)
+    final_energy, _, diameter = _energy_stats(cfg.points, kernel)
     return MinimizeResult(config=cfg, energy=final_energy, grad_norm=gnorm,
                           iterations=iters, restarts_used=completed,
                           converged=converged, history=history,
-                          repair_events=repair_deltas)
+                          repair_events=repair_deltas, diameter=diameter)
 
 
 @dataclass(frozen=True)
@@ -370,9 +365,8 @@ def energy_trace(kernel: Kernel, dim: int, n_list,
             run_settings = replace(settings, init=InitSpec(kind="quantizer-seeded",
                                                            measure=cloud))
         result = minimize(kernel, n, dim, run_settings)
-        _, _, diam = _pair_pass(result.config.points, result.config.points, extent=True)
         entries.append(TraceEntry(n=n, energy=result.energy,
-                                  grad_norm=result.grad_norm, diameter=diam))
+                                  grad_norm=result.grad_norm, diameter=result.diameter))
         previous = result.config
     diameters = [e.diameter for e in entries if e.diameter > 0]
     drift = bool(len(diameters) >= 2 and diameters[-1] > 3.0 * diameters[0]

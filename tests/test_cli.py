@@ -9,7 +9,7 @@ import pytest
 from rieszmin.cli import _minimize_settings, _settings, main
 from rieszmin.diagnostics import cluster_classify, gamma_trace
 from rieszmin.energy import load_configuration_csv
-from rieszmin.kernels import CheckScheme
+from rieszmin.kernels import CheckScheme, PowerLawKernel
 from rieszmin.quantizer import quantize
 
 
@@ -200,6 +200,43 @@ class TestDiagnose:
         assert code == 1
         assert "bad.csv:3" in capsys.readouterr().err
 
+    def test_one_kernel_pass_over_the_pairs(self, tmp_path, monkeypatch):
+        """The kernel sees the n^2 entries of one pair pass (the skipped
+        i == j included) and 96 probes against each point, nothing more: the
+        energy and diameter come from the particle potentials' pass."""
+        n = 300  # more than one block
+        pts = np.random.default_rng(4).normal(size=(n, 2))
+        path = tmp_path / "cloud.csv"
+        path.write_text("\n".join([f"2,{n}"] + [f"{x:.17g},{y:.17g}" for x, y in pts]) + "\n")
+        evaluated = []
+
+        class Counting(PowerLawKernel):
+            def radial(self, r):
+                evaluated.append(np.size(r))
+                return super().radial(r)
+
+        monkeypatch.setattr("rieszmin.cli.kernel_from_config",
+                            lambda block, base_dir: Counting(1, 2, dim=2))
+        cfg = write_config(tmp_path)
+        assert main(["diagnose", "--config", cfg, str(path), "--out", str(tmp_path / "o")]) == 0
+        assert sum(evaluated) == n * n + 96 * n
+
+    def test_infinite_potentials_leave_stderr_empty(self, tmp_path):
+        """Every point has a coincident partner under a singular kernel, so
+        every particle potential is +inf and their spread is nan, quietly."""
+        pts = np.repeat(np.random.default_rng(5).normal(size=(20, 2)), 2, axis=0)
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(["2,40"] + [f"{x:.17g},{y:.17g}" for x, y in pts]) + "\n")
+        cfg = write_config(tmp_path, kernel={"variant": "power_law", "alpha": -0.5,
+                                             "beta": 2.0, "dim": 2})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # this run's rieszmin
+        proc = subprocess.run([sys.executable, "-m", "rieszmin.cli", "diagnose", "--config", cfg,
+                               str(path), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        el = result_payload(tmp_path / "out" / "diagnose.json")["el"]
+        assert (el["mean_potential"], el["potential_spread"]) == ("inf", "nan")
+
 
 class TestUserInit:
     def test_minimize_from_user_start(self, tmp_path):
@@ -384,6 +421,17 @@ class TestParsing:
                                                         "hi": [1, 1]}}}}, "scale"),
         # the repair switch is a bool: a block or null is the wrong type
         ("minimize", {"minimize": {"repair": None}}, "repair"),
+        # a JSON boolean for a number, which int() and float() would read as 1 or 0
+        ("quantize", {"n": True}, "n"),
+        ("check-kernel", {"kernel": {"variant": "power_law", "alpha": True, "beta": 2.0}},
+         "alpha"),
+        ("quantize", {"measure": {"type": "uniform_box", "lo": [True, 0], "hi": [1, 1]}}, "lo"),
+        ("trace", {"n_list": [16, True]}, "n_list"),
+        ("quantize", {"seed": True}, "seed"),
+        ("quantize", {"quantize": {"k": True}}, "k"),
+        ("check-kernel", {"kernel": {"variant": "power_law", "alpha": 1.0, "beta": 2.0,
+                                     "dim": True}}, "dim"),
+        ("check-kernel", {"check_scheme": {"far_radii": [1.0, False]}}, "far_radii"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
@@ -511,6 +559,21 @@ class TestReadmeConfig:
             ("diagnostics", cluster_classify, ("gap_factor",)),
         ]:
             assert _settings(config[key], key, of, names) == config[key]
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", ["quantize", "minimize", "trace", "diagnose"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, command, where):
+        """numpy takes only non-negative seeds; a negative one is refused up front."""
+        (tmp_path / "pair.csv").write_text("2,2\n0,0\n1,0\n")  # for the diagnose case
+        cfg = write_config(tmp_path, **({"seed": -1} if where == "config" else {}))
+        args = [str(tmp_path / "pair.csv")] if command == "diagnose" else []
+        if where == "flag":
+            args += ["--seed", "-1"]
+        assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
 
 
 class TestThreads:

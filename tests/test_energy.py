@@ -256,6 +256,14 @@ class TestPotential:
         sub = SubConfiguration([[0.0, 0.0]], denominator=4)
         assert potential(sub, PL2, [1.0, 0.0]) == pytest.approx(-0.5 / 4)
 
+    @pytest.mark.parametrize("exclude", [3, 5, -1])
+    def test_exclude_outside_the_points_is_rejected(self, exclude):
+        """An index past the end, or a negative one that numpy would count
+        from the end, names no point of the family."""
+        cfg = Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError, match="exclude"):
+            potential(cfg, PL2, [2.0, 2.0], exclude=exclude)
+
 
 class TestContinuumMonteCarlo:
     def test_single_atom_bounded_kernel(self):

@@ -14,6 +14,7 @@ from rieszmin import (
     quantize,
 )
 from rieszmin import minimizer
+from rieszmin.diagnostics import support_diameter
 from rieszmin.minimizer import (
     InitSpec,
     MinimizeSettings,
@@ -100,6 +101,15 @@ class TestMinimize:
         settings = MinimizeSettings(restarts=3, max_iters=50,
                                     init=InitSpec(kind="user", config=start))
         assert minimize(k, 4, 2, settings).restarts_used == 2
+
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("kernel", [PL2, MorseKernel(4, 1, 0.5, 2, dim=2),
+                                        PowerLawKernel(-0.5, 2, dim=2)])
+    def test_result_diameter_is_the_support_diameter(self, n, kernel):
+        """The final energy pass's diameter, which energy_trace reads."""
+        res = minimize(kernel, n, 2, MinimizeSettings(restarts=2, seed=3, max_iters=100))
+        assert res.diameter == support_diameter(res.config)
 
 
 class TestSearchDirection:

@@ -91,10 +91,13 @@ def test_gradient_rows_permute_exactly(n, dim, seed, ties, kernel):
 @example(n=1, dim=2, seed=0, ties=True, kernel="power_law")
 def test_mean_potential_is_the_energy_exactly(n, dim, seed, ties, kernel):
     """The energy pass's max distance is also the support diameter, so
-    diagnose takes both from one pass."""
+    diagnose takes both from one pass: el_residual's own."""
     cfg = Configuration(make_points(n, dim, seed, ties))
     k = make_kernel(kernel, dim)
-    assert el_residual(cfg, k).mean_potential == discrete_energy(cfg, k).value
+    el = el_residual(cfg, k)
+    assert el.mean_potential == discrete_energy(cfg, k).value
+    assert el.energy == discrete_energy(cfg, k)
+    assert el.diameter == support_diameter(cfg)
     assert support_diameter(cfg) == energy._energy_stats(cfg.points, k)[2]
 
 
