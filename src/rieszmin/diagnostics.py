@@ -144,6 +144,20 @@ class ClusterReport:
         }
 
 
+def _components(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Each of n indices' component under the links ``pairs`` (2, m), labelled by its
+    smallest index: hook each link's larger root under its smaller one and jump every
+    label to its root, until no link joins two labels."""
+    labels = np.arange(n)
+    while pairs.size:
+        roots = labels[pairs]
+        np.minimum.at(labels, roots.max(axis=0), roots.min(axis=0))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        pairs = pairs[:, labels[pairs[0]] != labels[pairs[1]]]
+    return labels
+
+
 def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterReport:
     """Single-linkage clusters at threshold gap_factor x median nearest-
     neighbor distance, classified into one of three finite-scale labels:
@@ -157,13 +171,14 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
       statistic behind the label.
 
     Neighbor distances, links, ball counts and the gap are reductions of the
-    pair pass's blocks, and clusters the components of the links, so memory
-    grows as O(n) plus the number of linked pairs.  The passes run over the
-    points sorted on their first coordinate, each within a reach: the
-    threshold for links, for neighbors the nearest of the 16 points on
-    either side in that order, and for the gap the nearest two points next
-    in that order from two clusters.  A pair is linked when its distance,
-    as the pair pass computes it, is at most the threshold.
+    pair pass's blocks.  A block keeps only a spanning forest of its links,
+    at most one edge per point it meets, and the clusters are the components
+    of all the forests.  The passes run over the points sorted on their
+    first coordinate, each within a reach: the threshold for links, for
+    neighbors the nearest of the 16 points on either side in that order, and
+    for the gap the nearest two points next in that order from two clusters.
+    A pair is linked when its distance, as the pair pass computes it, is at
+    most the threshold.
     """
     if not 1.0 < gap_factor < math.inf:
         raise ValidationError("gap_factor must exceed 1 and be finite")
@@ -189,22 +204,15 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
     median_nn = float(np.median(nn))
     threshold = gap_factor * median_nn
 
-    def links(d, i, j):  # the pairs within the threshold, each once
-        rows, cols = np.divmod(np.flatnonzero(d <= threshold), d.shape[1])
-        rows += i
-        cols += j
-        return np.stack([rows, cols])[:, cols > rows]
+    def links(d, i, j):  # a spanning forest of the block's pairs within the threshold
+        base = min(i, j)  # the block's points are base, base + 1, ...
+        pairs = np.divmod(np.flatnonzero(d <= threshold), d.shape[1]) + np.array([[i], [j]]) - base
+        labels = _components(pairs[:, pairs[1] > pairs[0]], max(i + len(d), j + d.shape[1]) - base)
+        hooked = np.flatnonzero(labels != np.arange(len(labels)))
+        return np.stack([labels[hooked], hooked]) + base
 
-    pairs = order[np.hstack(_pair_pass(sp, sp, order=order, reach=threshold, each=links)[0])]
-    # hook each link's larger root under its smaller one and jump every label to its root,
-    # until no link joins two labels; each label is then its component's smallest index
-    labels = np.arange(n)
-    while pairs.size:
-        roots = labels[pairs]
-        np.minimum.at(labels, roots.max(axis=0), roots.min(axis=0))
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-        pairs = pairs[:, labels[pairs[0]] != labels[pairs[1]]]
+    forests = _pair_pass(sp, sp, order=order, reach=threshold, each=links)[0]
+    labels = _components(order[np.hstack(forests)], n)
     sizes = np.bincount(labels)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes[sizes > 0])[:-1])
 

@@ -3,9 +3,12 @@ Monte-Carlo continuum energy.
 
 Every pair sum goes through one blocked pass, _pair_pass, whose cache-sized
 blocks may run on worker threads (worker_threads); each block writes its own
-rows, so results do not depend on the schedule.  A block builds its distances,
-and a gradient's differences, one axis at a time in buffers its thread keeps;
-a caller's per-block reducer may take its own reduction of those distances,
+rows, so results do not depend on the schedule; a one-family kernel sum
+meets each unordered pair once, in the 256 x 256 tiles on and above the
+diagonal, whose row and column sums fill a (tiles, n) partials array that
+is summed per row in tile order.  A block builds its distances, and a
+gradient's differences, one axis at a time in buffers its thread keeps; a
+caller's per-block reducer may take its own reduction of those distances,
 and a pass over points sorted on their first coordinate may meet only the
 pairs within a reach.
 Sums over a family run in its canonical point order (lexicographic sort of
@@ -170,14 +173,21 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
     pair sums pass it in canonical order): the pairs i == j are skipped
     (each sees them at +inf), and coincident points met by the gradient are
     named by their indices in points (the first such pair of the first
-    failing block in block order, for any schedule).
+    failing block in block order, for any schedule).  A one-family kernel
+    sum (no grad, each or reach) has g(d_ij) = g(d_ji), so its blocks are the
+    T x T tiles (I, J), I <= J, T = isqrt(_BLOCK_ELEMENTS): tile (I, J) writes
+    its row sums into parts[J, rows of I] and, if I < J, its column sums into
+    parts[I, rows of J]; each slot of the (tiles, n) partials has one writer,
+    and a row's value is its column of parts summed in tile order.
 
     Returns (per-row values, the list of each's results in block order, or
     None; min distance; max distance).
     """
-    values = None if kernel is None else np.empty(rows.shape if grad else len(rows))
+    triangle = kernel is not None and order is not None and not grad and each is None and reach is None
+    values = None if kernel is None or triangle else np.empty(rows.shape if grad else len(rows))
     axes = np.ascontiguousarray(cols.T)
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
+    step = math.isqrt(_BLOCK_ELEMENTS) if triangle else max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
+    parts = np.empty((-(-len(rows) // step), len(rows))) if triangle else None
     errstate = np.geterr()  # worker threads do not inherit the caller's
 
     first, last = np.zeros(len(rows), int), np.full(len(rows), len(cols))
@@ -190,12 +200,16 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
         last = np.searchsorted(axes[0], rows[:, 0] + wide, side="right")
 
     def spans(step):  # each block's first row, first col and col count
+        if triangle:  # the tiles (I, J), I <= J, row by row
+            tiles = [(a, b, min(step, len(cols) - b))
+                     for a in range(0, len(rows), step) for b in range(a, len(rows), step)]
+            return list(zip(*tiles)) or [()]  # no points, no tiles
         starts = np.arange(0, len(rows), step)
         heads = np.minimum.reduceat(first, starts)
-        return starts, heads, np.maximum.reduceat(last, starts) - heads
+        return [span.tolist() for span in (starts, heads, np.maximum.reduceat(last, starts) - heads)]
 
     while (reach is not None and step < len(rows)
-           and 2 * step * spans(2 * step)[2].max() <= _BLOCK_ELEMENTS):
+           and 2 * step * max(spans(2 * step)[2]) <= _BLOCK_ELEMENTS):
         step *= 2  # more rows to a block, while it meets few enough pairs
 
     def block(start, head, width):
@@ -213,9 +227,9 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
             if k:
                 d += part
         np.sqrt(d, out=d)
-        # the skipped pairs i == j of this block; none for two families
-        k = np.arange(len(chunk) if order is not None else 0)
-        eye = (k, start + k - head)
+        # the skipped pairs i == j of this block, the k among both its rows and its cols
+        k = np.arange(max(start, head), min(start + len(chunk), head + width))
+        eye = (k - start, k - head) if order is not None else (k[:0], k[:0])  # two families: none
         lo, hi = math.inf, 0.0
         if extent:
             hi = float(d.max(initial=0.0))  # a skipped pair sits at distance 0
@@ -240,20 +254,24 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
         else:
             vals = np.asarray(kernel.radial(d), dtype=float)
             vals[eye] = 0.0
-            np.sum(vals, axis=1, out=values[start:start + len(chunk)])
+            into = parts[head // step] if triangle else values
+            np.sum(vals, axis=1, out=into[start:start + len(chunk)])
+            if triangle and head != start:
+                np.sum(vals, axis=0, out=parts[start // step, head:head + width])
         return None, lo, hi
 
     def task(*span):
         with np.errstate(**errstate):
             return block(*span)
 
-    blocks = [span.tolist() for span in spans(step)]
+    blocks = spans(step)
     pool = _POOL.get()
     bounds = map(block, *blocks) if pool is None or len(blocks[0]) < 2 else pool().map(task, *blocks)
     outs, lo, hi = [], math.inf, 0.0
     for out, block_lo, block_hi in bounds:  # in block order, so the first error wins
         outs.append(out)
         lo, hi = min(lo, block_lo), max(hi, block_hi)
+    values = parts.sum(axis=0) if triangle else values
     return (values if each is None else outs), lo, hi
 
 

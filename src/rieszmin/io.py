@@ -60,15 +60,17 @@ def config_number(block: dict, key: str, cast=float, default=_REQUIRED):
 
 
 def whole(value) -> int:
-    """int(value), refusing a fraction that int() would drop and a bool: the int cast."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a fraction that int() would drop, a bool and a
+    string (JSON "25" is no number): the int cast."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
 
 
 def real(value) -> float:
-    """float(value), refusing a bool (JSON true is no number): the float cast."""
-    if isinstance(value, bool):
+    """float(value), refusing a bool and a string (JSON true and "1e3" are
+    no numbers): the float cast."""
+    if isinstance(value, (bool, str)):
         raise ValueError(value)
     return float(value)
 

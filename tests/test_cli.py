@@ -201,10 +201,11 @@ class TestDiagnose:
         assert "bad.csv:3" in capsys.readouterr().err
 
     def test_one_kernel_pass_over_the_pairs(self, tmp_path, monkeypatch):
-        """The kernel sees the n^2 entries of one pair pass (the skipped
-        i == j included) and 96 probes against each point, nothing more: the
-        energy and diameter come from the particle potentials' pass."""
-        n = 300  # more than one block
+        """The kernel sees the entries of one pair pass's upper-triangle
+        tiles (the skipped i == j included) and 96 probes against each
+        point, nothing more: the energy and diameter come from the particle
+        potentials' pass."""
+        n = 300  # two tile rows: the tiles 256 x 256, 256 x 44 and 44 x 44
         pts = np.random.default_rng(4).normal(size=(n, 2))
         path = tmp_path / "cloud.csv"
         path.write_text("\n".join([f"2,{n}"] + [f"{x:.17g},{y:.17g}" for x, y in pts]) + "\n")
@@ -219,7 +220,7 @@ class TestDiagnose:
                             lambda block, base_dir: Counting(1, 2, dim=2))
         cfg = write_config(tmp_path)
         assert main(["diagnose", "--config", cfg, str(path), "--out", str(tmp_path / "o")]) == 0
-        assert sum(evaluated) == n * n + 96 * n
+        assert sum(evaluated) == 256 * 256 + 256 * 44 + 44 * 44 + 96 * n  # 107,536
 
     def test_infinite_potentials_leave_stderr_empty(self, tmp_path):
         """Every point has a coincident partner under a singular kernel, so
@@ -432,6 +433,12 @@ class TestParsing:
         ("check-kernel", {"kernel": {"variant": "power_law", "alpha": 1.0, "beta": 2.0,
                                      "dim": True}}, "dim"),
         ("check-kernel", {"check_scheme": {"far_radii": [1.0, False]}}, "far_radii"),
+        # a JSON string for a number, which int() and float() would parse
+        ("quantize", {"n": "25"}, "n"),
+        ("check-kernel", {"kernel": {"variant": "power_law", "alpha": "nan", "beta": 2.0}},
+         "alpha"),
+        ("quantize", {"measure": {"type": "uniform_box", "lo": ["0", 0], "hi": [1, 1]}}, "lo"),
+        ("quantize", {"seed": "11"}, "seed"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case

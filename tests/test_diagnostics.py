@@ -114,6 +114,21 @@ class TestClusterClassify:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_links_are_not_all_held_at_once(self):
+        """Half of 2000 points on one site link ~5e5 pairs (8 MB as index
+        pairs); the blocks' spanning forests keep far fewer."""
+        pts = np.random.default_rng(9).random((2000, 2))
+        pts[:1000] = 0.5
+        cluster_classify(Configuration(pts[:8]))  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            report = cluster_classify(Configuration(pts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.clusters[0].indices) == 1000
+        assert peak < 4 * 2**20
+
 
 class TestBLDistance:
     def test_identical_configurations(self):

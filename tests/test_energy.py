@@ -233,6 +233,22 @@ class TestBlockBuffers:
             tracemalloc.stop()
         assert peak < 1.25 * pts.shape[0]**2 * 8
 
+    def test_a_warm_triangle_pass_allocates_one_block_and_the_partials(self):
+        """A one-family energy pass at n=1100 visits 15 tiles over 5 tile
+        rows; warm, it allocates about the kernel's result for one tile and
+        the (5, 1100) partials."""
+        pts = np.random.default_rng(1).normal(size=(1100, 2))
+        order = energy._canonical_order(pts)
+        pts = pts[order]
+        energy._pair_pass(pts, pts, PL2, order, extent=True)
+        tracemalloc.start()
+        try:
+            energy._pair_pass(pts, pts, PL2, order, extent=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (energy._BLOCK_ELEMENTS + 5 * 1100) * 8
+
 
 class TestPotential:
     def test_single_source(self):

@@ -172,7 +172,9 @@ def workers(count):
 
 
 def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
-    """_pair_pass on one dense block, with np.linalg.norm distances."""
+    """_pair_pass on one dense block, with np.linalg.norm distances; a one-
+    family kernel sum adds the upper-triangle tiles' row and column sums of
+    that block per row in tile order, as the pass does."""
     diffs = rows[:, None, :] - cols[None, :, :]
     d = np.linalg.norm(diffs, axis=2)
     k = np.arange(len(rows) if order is not None else 0)
@@ -191,7 +193,17 @@ def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
         return np.einsum("ij,ijk->ik", w, diffs), lo, hi
     vals = kernel.radial(d)
     vals[k, k] = 0.0
-    return vals.sum(axis=1), lo, hi
+    if order is None:
+        return vals.sum(axis=1), lo, hi
+    t = math.isqrt(energy._BLOCK_ELEMENTS)
+    parts = np.empty((-(-len(rows) // t), len(rows)))
+    for a in range(0, len(rows), t):
+        for b in range(a, len(rows), t):
+            tile = vals[a:a + t, b:b + t]
+            parts[b // t, a:a + t] = tile.sum(axis=1)
+            if b != a:
+                parts[a // t, b:b + t] = tile.sum(axis=0)
+    return parts.sum(axis=0), lo, hi
 
 
 @SETTINGS
@@ -200,7 +212,9 @@ def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
        grad=st.booleans())
 @example(n=1, m=0, dim=2, seed=0, kernel="power_law", grad=True)
 @example(n=2, m=0, dim=3, seed=0, kernel="morse", grad=True)
+@example(n=256, m=0, dim=2, seed=5, kernel="power_law", grad=False)  # one tile
 @example(n=257, m=0, dim=2, seed=1, kernel="power_law", grad=False)  # two rows past a block
+@example(n=1100, m=0, dim=2, seed=6, kernel="morse", grad=False)  # 5 tile rows, the last ragged
 @example(n=600, m=1200, dim=6, seed=2, kernel="morse", grad=False)
 @example(n=3, m=70_000, dim=2, seed=3, kernel="power_law", grad=False)  # m > one block
 @example(n=300, m=0, dim=6, seed=4, kernel="morse", grad=True)  # the widest differences
