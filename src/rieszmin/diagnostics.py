@@ -21,6 +21,7 @@ from .energy import (
     _canonical_order,
     _energy_stats,
     _pair_pass,
+    _potentials,
     continuum_energy_mc,
     potential_grid,
 )
@@ -71,9 +72,7 @@ def el_residual(cfg: Configuration, kernel: Kernel, seed: int = 0) -> ELReport:
         raise ValidationError("kernel and configuration dimensions differ")
     pts = cfg.points
     n = cfg.n
-    order = _canonical_order(pts)
-    canonical = pts[order]
-    row_sums, lo, hi = _pair_pass(canonical, canonical, kernel, order, extent=True)
+    row_sums, order, lo, hi = _potentials(pts, kernel)
     mean = float(row_sums.sum()) / n**2  # discrete_energy's own arithmetic
     psi = (row_sums / n)[np.argsort(order)]
     with np.errstate(invalid="ignore"):  # all potentials +inf: the spread is nan
@@ -199,8 +198,7 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
         near = np.linalg.norm(sp[s:] - sp[:-s], axis=1)
         np.minimum(bound[s:], near, out=bound[s:])
         np.minimum(bound[:-s], near, out=bound[:-s])
-    nn = np.concatenate(_pair_pass(sp, sp, order=order, reach=bound,
-                                   each=lambda d, i, j: d.min(axis=1))[0])
+    nn = np.concatenate(_pair_pass(sp, sp, lambda d, i, j: d.min(axis=1), order, bound))
     median_nn = float(np.median(nn))
     threshold = gap_factor * median_nn
 
@@ -211,7 +209,7 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
         hooked = np.flatnonzero(labels != np.arange(len(labels)))
         return np.stack([labels[hooked], hooked]) + base
 
-    forests = _pair_pass(sp, sp, order=order, reach=threshold, each=links)[0]
+    forests = _pair_pass(sp, sp, links, order, threshold)
     labels = _components(order[np.hstack(forests)], n)
     sizes = np.bincount(labels)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes[sizes > 0])[:-1])
@@ -235,8 +233,8 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
     steps = np.diff(sp, axis=0)[rank[1:] != rank[:-1]]
     reach = np.linalg.norm(steps, axis=1).min(initial=math.inf)
     heavy = [c for c in clusters if c.mass_fraction >= 0.05]  # the first ranks
-    gaps = [_pair_pass(sp[rank == r], sp[rank > r], extent=True, reach=reach)[1]
-            for r in range(min(len(heavy), len(clusters) - 1))]
+    gaps = [float(low) for r in range(min(len(heavy), len(clusters) - 1)) for low in _pair_pass(
+        sp[rank == r], sp[rank > r], lambda d, i, j: d.min(initial=math.inf), reach=reach)]
     light = rank >= len(heavy)
     light_rank = rank[light]
 
@@ -244,14 +242,14 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
         other = light_rank[i:i + len(d), None] != light_rank[j:j + d.shape[1]]
         return d.min(initial=math.inf, where=other)
 
-    gap = min(gaps + _pair_pass(sp[light], sp[light], reach=reach, each=cross)[0], default=math.inf)
+    gap = min(gaps + _pair_pass(sp[light], sp[light], cross, reach=reach), default=math.inf)
 
     # a point with a positive nn has no other point within ball_radius <= nn / 2, so only
     # the points with a coincident partner are counted, each against all points
     positive_nn = nn[nn > 0]
     ball_radius = 0.5 * float(positive_nn.min()) if positive_nn.size else 0.0
-    counts = _pair_pass(sp[nn == 0.0], sp, reach=ball_radius,
-                        each=lambda d, i, j: (d <= ball_radius).sum(axis=1))[0]
+    counts = _pair_pass(sp[nn == 0.0], sp, lambda d, i, j: (d <= ball_radius).sum(axis=1),
+                        reach=ball_radius)
     max_ball_mass = float(max((c.max() for c in counts), default=1)) / n
 
     if largest >= 0.99:
@@ -324,8 +322,8 @@ def bl_distance(a, b) -> float:
 
 def support_diameter(cfg: Configuration) -> float:
     """Largest pairwise distance (0 for a single point)."""
-    _, _, hi = _pair_pass(cfg.points, cfg.points, extent=True)
-    return hi
+    blocks = _pair_pass(cfg.points, cfg.points, lambda d, i, j: d.max(initial=0.0))
+    return float(max(blocks, default=0.0))
 
 
 # ---------------------------------------------------------------------------

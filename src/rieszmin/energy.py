@@ -1,19 +1,13 @@
 """Discrete pair energies, cross/partial energies, potentials, and the
 Monte-Carlo continuum energy.
 
-Every pair sum goes through one blocked pass, _pair_pass, whose cache-sized
-blocks may run on worker threads (worker_threads); each block writes its own
-rows, so results do not depend on the schedule; a one-family kernel sum
-meets each unordered pair once, in the 256 x 256 tiles on and above the
-diagonal, whose row and column sums fill a (tiles, n) partials array that
-is summed per row in tile order.  A block builds its distances, and a
-gradient's differences, one axis at a time in buffers its thread keeps; a
-caller's per-block reducer may take its own reduction of those distances,
-and a pass over points sorted on their first coordinate may meet only the
-pairs within a reach.
-Sums over a family run in its canonical point order (lexicographic sort of
-the coordinates), so results are bit-identical under permutation of the
-input points.  Desk scale (n up to ~10^4) keeps the O(n^2) sums practical.
+Every pair sum reduces the blocks of one schedule, _pair_pass, which builds
+each cache-sized block's distances in buffers its thread keeps, possibly on
+worker threads (worker_threads), and hands them to a reducer its caller owns;
+a reducer writes only its block's slots, so results do not depend on the
+schedule.  Sums over a family run in its canonical point order (lexicographic
+sort of the coordinates), so results are bit-identical under permutation of
+the input points.  Desk scale (n up to ~10^4) keeps the O(n^2) sums practical.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from .io import _read_rows
 from .kernels import Kernel
 
 _BLOCK_ELEMENTS = 2**16  # pairs per block: its few float buffers fit a 2 MB L2 cache
+_TILE = math.isqrt(_BLOCK_ELEMENTS)  # the side of a triangle pass's square tiles
 # the pool getter of the enclosing worker_threads block; worker threads see None
 _POOL: ContextVar = ContextVar("rieszmin_pair_pool", default=None)
 _SCRATCH = threading.local()  # each thread's block buffers, kept from pass to pass
@@ -154,41 +149,25 @@ def _scratch(name: str, shape: tuple) -> np.ndarray:
     return getattr(_SCRATCH, name)[:size].reshape(shape)
 
 
-def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = None,
-               order: Optional[np.ndarray] = None, grad: bool = False,
-               extent: bool = False, each=None, reach=None):
-    """The one blocked pass over point pairs (rows[i], cols[j]).
+def _self_pairs(i: int, j: int, shape: tuple):
+    """(rows, cols) in a one-family block of rows i, ... by cols j, ... of its pairs i == j."""
+    k = np.arange(max(i, j), min(i + shape[0], j + shape[1]))
+    return k - i, k - j
 
-    Each distance block, B rows by len(cols) unless a reach narrows it, is
-    computed once, and only the reductions asked for are taken from it:
-    with a kernel, the per-row sums of g(|r_i - c_j|), or with grad=True the
-    per-row sums of g'(d)/d (r_i - c_j); with extent=True the min and max
-    distance; with ``each``, each(d, i, j) of the block of rows i, i + 1, ...
-    against the cols j, j + 1, ..., instead of a kernel's sums (it must not
-    keep d, a reused buffer).  A given ``reach`` (a scalar or one per row;
-    rows and cols sorted on their first coordinate) narrows each block to
-    the cols whose first coordinate lies within a row's reach of that row's;
-    every pair whose distance is within its row's reach stays.  A given
-    ``order`` says rows and cols are both points[order], one family (the
-    pair sums pass it in canonical order): the pairs i == j are skipped
-    (each sees them at +inf), and coincident points met by the gradient are
-    named by their indices in points (the first such pair of the first
-    failing block in block order, for any schedule).  A one-family kernel
-    sum (no grad, each or reach) has g(d_ij) = g(d_ji), so its blocks are the
-    T x T tiles (I, J), I <= J, T = isqrt(_BLOCK_ELEMENTS): tile (I, J) writes
-    its row sums into parts[J, rows of I] and, if I < J, its column sums into
-    parts[I, rows of J]; each slot of the (tiles, n) partials has one writer,
-    and a row's value is its column of parts summed in tile order.
 
-    Returns (per-row values, the list of each's results in block order, or
-    None; min distance; max distance).
-    """
-    triangle = kernel is not None and order is not None and not grad and each is None and reach is None
-    values = None if kernel is None or triangle else np.empty(rows.shape if grad else len(rows))
+def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.ndarray] = None,
+               reach=None, tiles: bool = False, grad: bool = False) -> list:
+    """The one block schedule of point pairs (rows[i], cols[j]): the list of reduce(d, i, j),
+    or with grad=True of reduce(d, i, j, diffs), in block order; d is the distance block of
+    rows i, ... by cols j, ..., diffs[a, b] = rows[i + a] - cols[j + b], reused buffers the
+    reducer must not keep.  A given ``order`` says rows and cols are both points[order], one
+    family, whose pairs i == j sit at d = +inf.  Blocks are rows by all cols; a ``reach`` (a
+    scalar or one per row; rows and cols sorted on their first coordinate) narrows each to the
+    cols within a row's reach of it on the first coordinate, keeping every pair within it;
+    with tiles=True (one family) they are the _TILE x _TILE tiles (I, J), I <= J."""
     axes = np.ascontiguousarray(cols.T)
-    step = math.isqrt(_BLOCK_ELEMENTS) if triangle else max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
-    parts = np.empty((-(-len(rows) // step), len(rows))) if triangle else None
-    errstate = np.geterr()  # worker threads do not inherit the caller's
+    step = _TILE if tiles else max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
+    errstate = np.geterr()
 
     first, last = np.zeros(len(rows), int), np.full(len(rows), len(cols))
     if reach is not None:
@@ -200,10 +179,9 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
         last = np.searchsorted(axes[0], rows[:, 0] + wide, side="right")
 
     def spans(step):  # each block's first row, first col and col count
-        if triangle:  # the tiles (I, J), I <= J, row by row
-            tiles = [(a, b, min(step, len(cols) - b))
-                     for a in range(0, len(rows), step) for b in range(a, len(rows), step)]
-            return list(zip(*tiles)) or [()]  # no points, no tiles
+        if tiles:  # row by row
+            return list(zip(*[(a, b, min(step, len(cols) - b)) for a in range(0, len(rows), step)
+                              for b in range(a, len(rows), step)])) or [()]  # no points, no tiles
         starts = np.arange(0, len(rows), step)
         heads = np.minimum.reduceat(first, starts)
         return [span.tolist() for span in (starts, heads, np.maximum.reduceat(last, starts) - heads)]
@@ -213,66 +191,54 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, kernel: Optional[Kernel] = No
         step *= 2  # more rows to a block, while it meets few enough pairs
 
     def block(start, head, width):
-        chunk = rows[start:start + step]
-        shape = (len(chunk), width)
-        d, part = _scratch("d", shape), _scratch("part", shape)
-        # a gradient pass keeps the differences r_i - c_j, with the bits and C layout of
-        # broadcasting; squares summed in axis order, as np.linalg.norm sums them for dim < 8
-        diffs = _scratch("diffs", shape + (rows.shape[1],)) if grad else None
-        for k in range(rows.shape[1]):
-            into = part if k else d
-            diff = np.subtract.outer(chunk[:, k], axes[k, head:head + width],
-                                     out=diffs[:, :, k] if grad else into)
-            np.square(diff, out=into)
-            if k:
-                d += part
-        np.sqrt(d, out=d)
-        # the skipped pairs i == j of this block, the k among both its rows and its cols
-        k = np.arange(max(start, head), min(start + len(chunk), head + width))
-        eye = (k - start, k - head) if order is not None else (k[:0], k[:0])  # two families: none
-        lo, hi = math.inf, 0.0
-        if extent:
-            hi = float(d.max(initial=0.0))  # a skipped pair sits at distance 0
-            d[eye] = math.inf
-            lo = float(d.min(initial=math.inf))
-        if each is not None:
-            d[eye] = math.inf
-            return each(d, start, head), lo, hi
-        if kernel is None:
-            return None, lo, hi
-        d[eye] = 1.0  # any finite placeholder; its term is zeroed below
-        if grad:
-            if np.any(d == 0.0):
-                i, j = np.argwhere(d == 0.0)[0]
-                raise GradientUndefinedError(
-                    f"coincident points {order[start + i]} and {order[j]}: "
-                    "gradient undefined at zero separation"
-                )
-            w = np.divide(kernel.radial_prime(d), d, out=part)
-            w[eye] = 0.0
-            np.einsum("ij,ijk->ik", w, diffs, out=values[start:start + len(chunk)])
-        else:
-            vals = np.asarray(kernel.radial(d), dtype=float)
-            vals[eye] = 0.0
-            into = parts[head // step] if triangle else values
-            np.sum(vals, axis=1, out=into[start:start + len(chunk)])
-            if triangle and head != start:
-                np.sum(vals, axis=0, out=parts[start // step, head:head + width])
-        return None, lo, hi
-
-    def task(*span):
-        with np.errstate(**errstate):
-            return block(*span)
+        with np.errstate(**errstate):  # worker threads do not inherit the caller's
+            chunk = rows[start:start + step]
+            shape = (len(chunk), width)
+            d, part = _scratch("d", shape), _scratch("part", shape)
+            # a gradient pass keeps the differences r_i - c_j, with the bits and C layout of
+            # broadcasting; squares summed in axis order, as np.linalg.norm sums them for dim < 8
+            diffs = _scratch("diffs", shape + (rows.shape[1],)) if grad else None
+            for k in range(rows.shape[1]):
+                into = part if k else d
+                diff = np.subtract.outer(chunk[:, k], axes[k, head:head + width],
+                                         out=diffs[:, :, k] if grad else into)
+                np.square(diff, out=into)
+                if k:
+                    d += part
+            np.sqrt(d, out=d)
+            if order is not None:
+                d[_self_pairs(start, head, shape)] = math.inf
+            return reduce(d, start, head, diffs) if grad else reduce(d, start, head)
 
     blocks = spans(step)
     pool = _POOL.get()
-    bounds = map(block, *blocks) if pool is None or len(blocks[0]) < 2 else pool().map(task, *blocks)
-    outs, lo, hi = [], math.inf, 0.0
-    for out, block_lo, block_hi in bounds:  # in block order, so the first error wins
-        outs.append(out)
-        lo, hi = min(lo, block_lo), max(hi, block_hi)
-    values = parts.sum(axis=0) if triangle else values
-    return (values if each is None else outs), lo, hi
+    # in block order, so the first error wins
+    return list((map if pool is None or len(blocks[0]) < 2 else pool().map)(block, *blocks))
+
+
+def _potentials(points: np.ndarray, kernel: Kernel):
+    """Each point's sum of g over the others in canonical order, that order, and the min and
+    max distance.  Tile (I, J) sums its rows into parts[J, rows of I] and, if I < J, its
+    columns into parts[I, rows of J]; a point's sum adds its column of parts in tile order."""
+    order = _canonical_order(points)
+    pts = points[order]
+    parts = np.empty((-(-len(pts) // _TILE), len(pts)))
+
+    def tile(d, i, j):
+        eye = _self_pairs(i, j, d.shape)
+        lo = float(d.min(initial=math.inf))
+        d[eye] = 0.0  # the distance of a skipped pair, for the max
+        hi = float(d.max(initial=0.0))
+        d[eye] = 1.0  # any finite placeholder; its term is zeroed below
+        vals = kernel.radial(d)
+        vals[eye] = 0.0
+        np.sum(vals, axis=1, out=parts[j // _TILE, i:i + len(d)])
+        if i != j:
+            np.sum(vals, axis=0, out=parts[i // _TILE, j:j + d.shape[1]])
+        return lo, hi
+
+    lows, highs = zip((math.inf, 0.0), *_pair_pass(pts, pts, tile, order, tiles=True))
+    return parts.sum(axis=0), order, min(lows), max(highs)
 
 
 def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:
@@ -281,10 +247,8 @@ def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, flo
     Returns (sum, min distance, max distance).  The sum is +inf when a pair
     hits a +inf kernel value.
     """
-    order = _canonical_order(points)
-    pts = points[order]
-    row_sums, lo, hi = _pair_pass(pts, pts, kernel, order, extent=True)
-    return float(row_sums.sum()), lo, hi
+    sums, _, lo, hi = _potentials(points, kernel)
+    return float(sums.sum()), lo, hi
 
 
 def _energy_stats(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:
@@ -313,8 +277,7 @@ def cross_energy(a: SubConfiguration, b: SubConfiguration, kernel: Kernel) -> fl
     _check_kernel_dim(kernel, a.dim)
     pa = a.points[_canonical_order(a.points)]
     pb = b.points[_canonical_order(b.points)]
-    row_sums, _, _ = _pair_pass(pa, pb, kernel)
-    return float(row_sums.sum()) / a.denominator**2
+    return float(potential_grid(pb, 1.0, kernel, pa).sum()) / a.denominator**2
 
 
 def partial_energy(a: SubConfiguration, kernel: Kernel) -> float:
@@ -337,9 +300,27 @@ def gradient(cfg: Configuration, kernel: Kernel) -> np.ndarray:
 
 def gradient_of_points(points: np.ndarray, kernel: Kernel) -> np.ndarray:
     order = _canonical_order(points)
-    pts = points[order]
-    rows, _, _ = _pair_pass(pts, pts, kernel, order, grad=True)
-    return (2.0 / len(points)**2) * rows[np.argsort(order)]
+    return (2.0 / len(points)**2) * _forces(points[order], kernel, order)[np.argsort(order)]
+
+
+def _forces(pts: np.ndarray, kernel: Kernel, order: np.ndarray) -> np.ndarray:
+    """Row i sums g'(d_ij)/d_ij (p_i - p_j) over j != i, pts = points[order]; coincident
+    points are named by their indices in points, the first pair of the first failing block."""
+    values = np.empty(pts.shape)
+
+    def forces(d, i, j, diffs):
+        eye = _self_pairs(i, j, d.shape)
+        d[eye] = 1.0  # any finite placeholder; its term is zeroed below
+        if np.any(d == 0.0):
+            a, b = np.argwhere(d == 0.0)[0]
+            raise GradientUndefinedError(f"coincident points {order[i + a]} and {order[j + b]}: "
+                                         "gradient undefined at zero separation")
+        w = np.divide(kernel.radial_prime(d), d, out=d)
+        w[eye] = 0.0
+        np.einsum("ij,ijk->ik", w, diffs, out=values[i:i + len(d)])
+
+    _pair_pass(pts, pts, forces, order, grad=True)
+    return values
 
 
 def potential(source, kernel: Kernel, x, exclude: Optional[int] = None) -> float:
@@ -371,8 +352,13 @@ def potential_grid(points: np.ndarray, weight: float, kernel: Kernel,
                    probes: np.ndarray) -> np.ndarray:
     """Vectorized potential of a weighted point family at many probes,
     summed over the points in the order given."""
-    row_sums, _, _ = _pair_pass(probes, points, kernel)
-    return row_sums * weight
+    values = np.empty(len(probes))
+
+    def row_sums(d, i, j):
+        np.sum(kernel.radial(d), axis=1, out=values[i:i + len(d)])
+
+    _pair_pass(probes, points, row_sums)
+    return values * weight
 
 
 @dataclass(frozen=True)

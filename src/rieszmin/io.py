@@ -167,6 +167,13 @@ def _compile_density(expr: str, dim: int):
     return compile(tree, "<density expr>", "eval")
 
 
+def _cells(block: dict) -> Optional[int]:  # the optional key 'cells_per_axis', at least 1
+    cells = config_number(block, "cells_per_axis", int, None)
+    if cells is not None and cells < 1:
+        raise UsageError(f"config key 'cells_per_axis' must be at least 1, got {cells}")
+    return cells
+
+
 def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
     if not isinstance(block, dict) or "type" not in block:
         raise ValidationError("measure block must be a mapping with a 'type' key")
@@ -177,7 +184,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
     if kind == "uniform_ball":
         return UniformBallMeasure(config_number(block, "center", floats),
                                   config_number(block, "radius"),
-                                  cells_per_axis=config_number(block, "cells_per_axis", int, None))
+                                  cells_per_axis=_cells(block))
     if kind == "cloud":
         dim = config_number(block, "dim", int, None)
         points, weights = load_cloud_csv(config_path(block, "path", base_dir), dim)
@@ -201,7 +208,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
             return np.broadcast_to(np.asarray(value, dtype=float), (points.shape[0],))
 
         return DensityBoxMeasure(density, lo, config_number(block, "hi", floats),
-                                 cells_per_axis=config_number(block, "cells_per_axis", int, None),
+                                 cells_per_axis=_cells(block),
                                  normalize=config_number(block, "normalize", flag, False))
     raise ValidationError(f"unknown measure type {kind!r}")
 

@@ -27,6 +27,13 @@ from .quadrature import _gauss, _tensor_grid, _tensor_rule
 _FULL = (-math.inf, math.inf)
 
 
+def _floats(values, what: str) -> np.ndarray:  # values as a new float array
+    try:
+        return np.array(values, dtype=float)
+    except ValueError:  # lists of unequal lengths
+        raise ValidationError(f"{what} must be a regular array of numbers") from None
+
+
 def _full_rect(dim: int) -> np.ndarray:
     return np.array([_FULL] * dim, dtype=float)
 
@@ -268,7 +275,7 @@ class AtomicMeasure(TargetMeasure):
     """A finite weighted atom cloud (empirical sample clouds, atom mixes)."""
 
     def __init__(self, points, weights=None):
-        pts = np.array(points, dtype=float, copy=True)
+        pts = _floats(points, "atom positions")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -278,7 +285,7 @@ class AtomicMeasure(TargetMeasure):
         if weights is None:
             wts = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
-            wts = np.array(weights, dtype=float, copy=True)
+            wts = _floats(weights, "atom weights")
             if wts.shape != (pts.shape[0],):
                 raise ValidationError("weights must match the number of atoms")
             if np.any(wts < 0) or not np.all(np.isfinite(wts)):
@@ -413,7 +420,9 @@ class UniformBallMeasure(AtomicMeasure):
     """
 
     def __init__(self, center, radius: float, cells_per_axis: Optional[int] = None):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = np.atleast_1d(_floats(center, "ball center"))
+        if center.ndim != 1 or not center.size:
+            raise ValidationError(f"ball center must be one point, got shape {center.shape}")
         if not (radius > 0 and math.isfinite(radius)):
             raise ValidationError("ball radius must be positive and finite")
         dim = center.size

@@ -439,6 +439,13 @@ class TestParsing:
          "alpha"),
         ("quantize", {"measure": {"type": "uniform_box", "lo": ["0", 0], "hi": [1, 1]}}, "lo"),
         ("quantize", {"seed": "11"}, "seed"),
+        # a grid of cells needs at least one cell per axis
+        ("quantize", {"measure": {"type": "uniform_ball", "center": [0, 0], "radius": 1,
+                                  "cells_per_axis": 0}}, "cells_per_axis"),
+        ("quantize", {"measure": {"type": "uniform_ball", "center": [0, 0], "radius": 1,
+                                  "cells_per_axis": -1}}, "cells_per_axis"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [0, 0], "hi": [1, 1],
+                                  "cells_per_axis": 0}}, "cells_per_axis"),
     ])
     def test_config_key_mistake_is_one_error_line(self, tmp_path, capsys, command, block, key):
         (tmp_path / "cloud.csv").write_text("0,0\n1,1\n")  # for the cloud case
@@ -520,6 +527,11 @@ class TestOutOfRange:
         ("minimize", {"minimize": {"grad_tol": float("nan")}}, "grad_tol"),
         ("diagnose", {"diagnostics": {"gap_factor": float("nan")}}, "gap_factor"),
         ("diagnose", {"diagnostics": {"gap_factor": float("inf")}}, "gap_factor"),
+        # a measure's points of the wrong shape
+        ("quantize", {"measure": {"type": "uniform_ball", "center": [[0, 0]], "radius": 1}},
+         "ball center"),
+        ("quantize", {"measure": {"type": "atoms", "positions": [[0, 0], [1]],
+                                  "weights": [0.5, 0.5]}}, "atom positions"),
     ])
     def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys,
                                                       command, overrides, text):

@@ -224,10 +224,14 @@ class TestBlockBuffers:
         pts = np.random.default_rng(0).normal(size=(200, 2))
         order = energy._canonical_order(pts)
         pts = pts[order]
-        energy._pair_pass(pts, pts, PL2, order, grad)
+
+        def warm_pass():
+            return energy._forces(pts, PL2, order) if grad else energy._potentials(pts, PL2)
+
+        warm_pass()
         tracemalloc.start()
         try:
-            energy._pair_pass(pts, pts, PL2, order, grad)
+            warm_pass()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,12 +242,10 @@ class TestBlockBuffers:
         rows; warm, it allocates about the kernel's result for one tile and
         the (5, 1100) partials."""
         pts = np.random.default_rng(1).normal(size=(1100, 2))
-        order = energy._canonical_order(pts)
-        pts = pts[order]
-        energy._pair_pass(pts, pts, PL2, order, extent=True)
+        energy._potentials(pts, PL2)
         tracemalloc.start()
         try:
-            energy._pair_pass(pts, pts, PL2, order, extent=True)
+            energy._potentials(pts, PL2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

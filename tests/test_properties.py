@@ -3,8 +3,10 @@ sum permutation-exact, the per-particle potentials reuse the energy's own
 arithmetic, and the pass gives the same bits for any number of worker
 threads as a dense np.linalg.norm reference.  Clouds reach n = 600, so a
 pass spans several blocks.  The gradient matches central finite differences
-of the energy, a pass with a reach meets every pair within it, and the
-cluster classifier matches a dense single-linkage reference.
+of the energy, a pass with a reach meets every pair within it, each block
+schedule (row blocks, reach windows, tiles) hands its reducer the dense
+distances and meets each pair once, and the cluster classifier matches a
+dense single-linkage reference.
 Energy and gradient are translation invariant, partition cells of atom clouds
 carry exactly 1/l^dim, and the CLI reads a minimize block into the settings
 the dataclasses build from the same values.  The in-place kernel profiles give
@@ -233,9 +235,20 @@ def test_pair_pass_is_the_dense_reference_for_any_worker_count(n, m, dim, seed, 
     want = dense_pair_pass(rows, cols, k, order, grad)
     for count in (1, 2, 3):
         with workers(count):
-            got = _pair_pass(rows, cols, k, order, grad, extent=True)
-        assert got[1:] == want[1:]
-        assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])
+            extent = (min(_pair_pass(rows, cols, lambda d, i, j: d.min(initial=math.inf), order),
+                          default=math.inf),
+                      max(_pair_pass(rows, cols, lambda d, i, j: d.max(initial=0.0)), default=0.0))
+            if k is None:
+                got = None
+            elif m:
+                got = potential_grid(cols, 1.0, k, rows)
+            elif grad:
+                got = energy._forces(rows, k, order)
+            else:  # rows are in canonical order already: the tiled sums keep it
+                got, _, *tiled_extent = energy._potentials(rows, k)
+                assert tuple(tiled_extent) == want[1:]
+        assert extent == want[1:]
+        assert (got is None and want[0] is None) or np.array_equal(got, want[0])
 
 
 @SETTINGS
@@ -250,13 +263,13 @@ def test_a_reach_pass_meets_every_pair_within_reach(n, dim, seed, offset, scale)
     pts = offset + scale * np.round(make_points(n, dim, seed, True), 1)
     order = energy._canonical_order(pts)
     pts = pts[order]
-    dense = np.vstack(_pair_pass(pts, pts, order=order, each=lambda d, i, j: d.copy())[0])
+    dense = np.vstack(_pair_pass(pts, pts, lambda d, i, j: d.copy(), order))
     reach = np.sort(dense, axis=1)[:, min(3, n - 2)]
     for count in (1, 2):
         with workers(count):
-            got = _pair_pass(pts, pts, order=order, reach=reach,
-                             each=lambda d, i, j: (d <= reach[i:i + len(d), None]).sum(axis=1))
-        assert np.array_equal(np.concatenate(got[0]), (dense <= reach[:, None]).sum(axis=1))
+            got = _pair_pass(pts, pts, lambda d, i, j: (d <= reach[i:i + len(d), None]).sum(axis=1),
+                             order, reach)
+        assert np.array_equal(np.concatenate(got), (dense <= reach[:, None]).sum(axis=1))
 
 
 @pytest.mark.parametrize("pts, reach", [([-1e-17, 1.0], 1.0), ([0.0, 1.5e-162], 0.0)])
@@ -265,8 +278,56 @@ def test_a_reach_pass_keeps_pairs_farther_apart_on_the_first_axis(pts, reach):
     pair's pass distance is within the reach though its first coordinates
     lie farther apart than the reach."""
     pts = np.array(pts).reshape(-1, 1)
-    got = _pair_pass(pts[1:], pts, reach=reach, each=lambda d, i, j: (d <= reach).sum(axis=1))
-    assert np.concatenate(got[0]).tolist() == [2]
+    got = _pair_pass(pts[1:], pts, lambda d, i, j: (d <= reach).sum(axis=1), reach=reach)
+    assert np.concatenate(got).tolist() == [2]
+
+
+def record(d, i, j, *diffs):
+    """A reducer that keeps a copy of its block's distances (and differences)."""
+    return i, j, d.copy(), [x.copy() for x in diffs]
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1100])
+def test_each_schedule_gives_its_reducer_the_dense_distances(n):
+    """Row blocks, reach windows and tiles hand the reducer the np.linalg.norm
+    distances of rows[i:i + r] x cols[j:j + c], with one-family self pairs at
+    +inf and, in a gradient pass, the differences of broadcasting.  Row
+    blocks meet every ordered pair once, tiles every unordered pair once,
+    and reach windows every pair within the reach, none twice."""
+    pts = make_points(n, 3, n, True)
+    pts = pts[energy._canonical_order(pts)]
+    other = 2.0 * make_points(n + 3, 3, n + 1, False)
+    dense = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    one_family = dense + np.diag(np.full(n, math.inf))
+    cross = np.linalg.norm(pts[:, None, :] - other[None, :, :], axis=2)
+    reach = float(np.quantile(dense, 0.1))
+    order = np.arange(n)
+    cases = [  # (cols, options, the dense distances, pairs met: ordered, unordered or reach)
+        (other, {}, cross, "ordered"),
+        (other, {"grad": True}, cross, "ordered"),
+        (pts, {"order": order}, one_family, "ordered"),
+        (pts, {"order": order, "grad": True}, one_family, "ordered"),
+        (pts, {"order": order, "tiles": True}, one_family, "unordered"),
+        (pts, {"order": order, "reach": reach}, one_family, "reach"),
+        (pts, {"reach": reach}, dense, "reach"),
+    ]
+    for count in (1, 2, 3):
+        for cols, options, want, pairs in cases:
+            with workers(count):
+                blocks = _pair_pass(pts, cols, record, **options)
+            met = np.zeros(want.shape, int)  # the blocks that meet each pair
+            for i, j, d, diffs in blocks:
+                rows, width = slice(i, i + len(d)), slice(j, j + d.shape[1])
+                assert np.array_equal(d, want[rows, width])
+                if options.get("grad"):
+                    assert np.array_equal(diffs[0], pts[rows, None, :] - cols[None, width, :])
+                cover = np.zeros(want.shape, bool)
+                cover[rows, width] = True
+                met += cover | cover.T if pairs == "unordered" else cover
+            if pairs == "reach":
+                assert met.max(initial=1) == 1 and np.all(met[dense <= reach] == 1)
+            else:
+                assert np.all(met == 1)
 
 
 def test_gradient_error_names_the_first_block_for_any_worker_count():
