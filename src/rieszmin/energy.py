@@ -2,10 +2,12 @@
 Monte-Carlo continuum energy.
 
 Every pair sum reduces the blocks of one schedule, _pair_pass, which builds
-each cache-sized block's distances in buffers its thread keeps, possibly on
-worker threads (worker_threads), and hands them to a reducer its caller owns;
-a reducer writes only its block's slots, so results do not depend on the
-schedule.  Sums over a family run in its canonical point order (lexicographic
+each cache-sized block's distances (and for a gradient one difference plane
+per axis) in buffers its thread keeps, possibly on worker threads
+(worker_threads), and hands them to a reducer its caller owns; a reducer
+writes only its block's slots, so results do not depend on the schedule.  One
+pass over the triangle tiles gives a configuration's energy, extent and
+gradient.  Sums over a family run in its canonical point order (lexicographic
 sort of the coordinates), so results are bit-identical under permutation of
 the input points.  Desk scale (n up to ~10^4) keeps the O(n^2) sums practical.
 """
@@ -159,12 +161,12 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.nd
                reach=None, tiles: bool = False, grad: bool = False) -> list:
     """The one block schedule of point pairs (rows[i], cols[j]): the list of reduce(d, i, j),
     or with grad=True of reduce(d, i, j, diffs), in block order; d is the distance block of
-    rows i, ... by cols j, ..., diffs[a, b] = rows[i + a] - cols[j + b], reused buffers the
-    reducer must not keep.  A given ``order`` says rows and cols are both points[order], one
-    family, whose pairs i == j sit at d = +inf.  Blocks are rows by all cols; a ``reach`` (a
-    scalar or one per row; rows and cols sorted on their first coordinate) narrows each to the
-    cols within a row's reach of it on the first coordinate, keeping every pair within it;
-    with tiles=True (one family) they are the _TILE x _TILE tiles (I, J), I <= J."""
+    rows i, ... by cols j, ..., diffs[k, a, b] = rows[i + a, k] - cols[j + b, k], buffers the
+    reducer may overwrite, not keep.  A given ``order`` says rows and cols are both
+    points[order], one family, whose pairs i == j sit at d = +inf.  Blocks are rows by all
+    cols; a ``reach`` (a scalar or one per row; rows and cols sorted on their first coordinate)
+    narrows each to the cols within a row's reach of it on the first coordinate, keeping every
+    pair within it; with tiles=True (one family) they are the _TILE x _TILE tiles (I, J), I <= J."""
     axes = np.ascontiguousarray(cols.T)
     step = _TILE if tiles else max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
     errstate = np.geterr()
@@ -195,13 +197,13 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.nd
             chunk = rows[start:start + step]
             shape = (len(chunk), width)
             d, part = _scratch("d", shape), _scratch("part", shape)
-            # a gradient pass keeps the differences r_i - c_j, with the bits and C layout of
-            # broadcasting; squares summed in axis order, as np.linalg.norm sums them for dim < 8
-            diffs = _scratch("diffs", shape + (rows.shape[1],)) if grad else None
+            # a gradient pass keeps the differences r_i - c_j, one C-contiguous plane per
+            # axis; squares summed in axis order, as np.linalg.norm sums them for dim < 8
+            diffs = _scratch("diffs", (rows.shape[1],) + shape) if grad else None
             for k in range(rows.shape[1]):
                 into = part if k else d
                 diff = np.subtract.outer(chunk[:, k], axes[k, head:head + width],
-                                         out=diffs[:, :, k] if grad else into)
+                                         out=diffs[k] if grad else into)
                 np.square(diff, out=into)
                 if k:
                     d += part
@@ -216,17 +218,24 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.nd
     return list((map if pool is None or len(blocks[0]) < 2 else pool().map)(block, *blocks))
 
 
-def _potentials(points: np.ndarray, kernel: Kernel):
-    """Each point's sum of g over the others in canonical order, that order, and the min and
-    max distance.  Tile (I, J) sums its rows into parts[J, rows of I] and, if I < J, its
-    columns into parts[I, rows of J]; a point's sum adds its column of parts in tile order."""
+def _potentials(points: np.ndarray, kernel: Kernel, grad: bool = False):
+    """Each point's sum of g over the others in canonical order, that order, the min and max
+    distance and, with grad=True, each point's sum of g'(d)/d (p - q) over the others q.  Tile
+    (I, J) sums its rows into parts[J, rows of I] and, if I < J, its columns into parts[I, rows
+    of J]; a point's sum adds its column of parts in tile order.  The forces' terms w * diffs[k]
+    are antisymmetric, so their negated column sums go to the rows of J, on the diagonal too."""
     order = _canonical_order(points)
     pts = points[order]
     parts = np.empty((-(-len(pts) // _TILE), len(pts)))
+    forces = np.full((pts.shape[1],) + parts.shape, math.nan) if grad else None
 
-    def tile(d, i, j):
+    def tile(d, i, j, diffs=None):
         eye = _self_pairs(i, j, d.shape)
         lo = float(d.min(initial=math.inf))
+        if grad and lo == 0.0:
+            a, b = np.argwhere(d == 0.0)[0]
+            raise GradientUndefinedError(f"coincident points {order[i + a]} and {order[j + b]}: "
+                                         "gradient undefined at zero separation")
         d[eye] = 0.0  # the distance of a skipped pair, for the max
         hi = float(d.max(initial=0.0))
         d[eye] = 1.0  # any finite placeholder; its term is zeroed below
@@ -235,10 +244,21 @@ def _potentials(points: np.ndarray, kernel: Kernel):
         np.sum(vals, axis=1, out=parts[j // _TILE, i:i + len(d)])
         if i != j:
             np.sum(vals, axis=0, out=parts[i // _TILE, j:j + d.shape[1]])
+        del vals  # before the derivative's block
+        if grad and np.isfinite(parts[j // _TILE, i:i + len(d)]).all():  # else NaN forces
+            w = np.divide(kernel.radial_prime(d), d, out=d)
+            w[eye] = 0.0
+            for k, diff in enumerate(diffs):
+                np.multiply(w, diff, out=diff)
+                if i != j:
+                    np.sum(diff, axis=1, out=forces[k, j // _TILE, i:i + len(d)])
+                col = np.sum(diff, axis=0, out=forces[k, i // _TILE, j:j + d.shape[1]])
+                np.negative(col, out=col)
         return lo, hi
 
-    lows, highs = zip((math.inf, 0.0), *_pair_pass(pts, pts, tile, order, tiles=True))
-    return parts.sum(axis=0), order, min(lows), max(highs)
+    lows, highs = zip((math.inf, 0.0), *_pair_pass(pts, pts, tile, order, tiles=True, grad=grad))
+    found = parts.sum(axis=0), order, min(lows), max(highs)
+    return found + (forces.sum(axis=1).T,) if grad else found
 
 
 def pair_interaction_sum(points: np.ndarray, kernel: Kernel) -> Tuple[float, float, float]:
@@ -295,32 +315,15 @@ def gradient(cfg: Configuration, kernel: Kernel) -> np.ndarray:
     """Gradient of the discrete energy: row i is (2/n^2) sum_{j != i} of the
     kernel gradient at x_i - x_j.  Requires all pair distances positive."""
     _check_kernel_dim(kernel, cfg.dim)
-    return gradient_of_points(cfg.points, kernel)
+    return gradient_of_points(cfg.points, kernel)[0]
 
 
-def gradient_of_points(points: np.ndarray, kernel: Kernel) -> np.ndarray:
-    order = _canonical_order(points)
-    return (2.0 / len(points)**2) * _forces(points[order], kernel, order)[np.argsort(order)]
-
-
-def _forces(pts: np.ndarray, kernel: Kernel, order: np.ndarray) -> np.ndarray:
-    """Row i sums g'(d_ij)/d_ij (p_i - p_j) over j != i, pts = points[order]; coincident
-    points are named by their indices in points, the first pair of the first failing block."""
-    values = np.empty(pts.shape)
-
-    def forces(d, i, j, diffs):
-        eye = _self_pairs(i, j, d.shape)
-        d[eye] = 1.0  # any finite placeholder; its term is zeroed below
-        if np.any(d == 0.0):
-            a, b = np.argwhere(d == 0.0)[0]
-            raise GradientUndefinedError(f"coincident points {order[i + a]} and {order[j + b]}: "
-                                         "gradient undefined at zero separation")
-        w = np.divide(kernel.radial_prime(d), d, out=d)
-        w[eye] = 0.0
-        np.einsum("ij,ijk->ik", w, diffs, out=values[i:i + len(d)])
-
-    _pair_pass(pts, pts, forces, order, grad=True)
-    return values
+def gradient_of_points(points: np.ndarray, kernel: Kernel) -> tuple:
+    """(gradient, energy, min distance, diameter) of n points from one pass over the tiles,
+    the last three with _energy_stats' bits; coincident points raise GradientUndefinedError."""
+    sums, order, lo, hi, forces = _potentials(points, kernel, grad=True)
+    n2 = len(points)**2
+    return (2.0 / n2) * forces[np.argsort(order)], float(sums.sum()) / n2, lo, hi
 
 
 def potential(source, kernel: Kernel, x, exclude: Optional[int] = None) -> float:

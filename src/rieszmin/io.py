@@ -18,6 +18,7 @@ from .measures import (
     TargetMeasure,
     UniformBallMeasure,
     UniformBoxMeasure,
+    _floats,
 )
 
 DEFAULT_SEED = 20240801
@@ -194,7 +195,7 @@ def measure_from_config(block: dict, base_dir: str = ".") -> TargetMeasure:
                              config_number(block, "weights", floats))
     if kind == "density":
         expr = block["expr"]
-        lo = np.atleast_1d(config_number(block, "lo", floats))
+        lo = np.atleast_1d(_floats(config_number(block, "lo", floats), "box corners"))
         code = _compile_density(expr, len(lo))
 
         def density(points: np.ndarray) -> np.ndarray:

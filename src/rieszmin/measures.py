@@ -344,8 +344,8 @@ class UniformBoxMeasure(ProductQuantileMeasure):
     """Uniform probability on an axis-aligned box."""
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.atleast_1d(_floats(lo, "box corners"))
+        hi = np.atleast_1d(_floats(hi, "box corners"))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("box corners must be matching 1-d arrays")
         if np.any(hi <= lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
@@ -378,8 +378,8 @@ class DensityBoxMeasure(AtomicMeasure):
 
     def __init__(self, density: Callable, lo, hi, cells_per_axis: Optional[int] = None,
                  normalize: bool = False):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.atleast_1d(_floats(lo, "box corners"))
+        hi = np.atleast_1d(_floats(hi, "box corners"))
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValidationError("box corners must match and have positive extent")
         dim = lo.size

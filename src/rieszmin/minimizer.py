@@ -4,10 +4,13 @@ The two-loop recursion gives the direction of an Armijo backtracking line
 search.  Across a truncation kink, where the objective is nonsmooth, a step
 can show no positive curvature: that empties the memory, and a direction
 that is not downhill gives way to steepest descent, so the run never
-stalls on a bad model.  A collision guard keeps the line search away from
-coincident points when the kernel is singular at zero, and a periodic
-repair move relocates far outliers onto a small grid of low-potential sites
-just outside the bulk, accepted only on strict energy decrease.
+stalls on a bad model.  Each trial step is one pass over the pairs
+(gradient_of_points) that gives its energy, its extent and its gradient, so
+an accepted trial's gradient is the next iteration's.  A collision guard
+keeps the line search away from coincident points when the kernel is
+singular at zero, and a periodic repair move relocates far outliers onto a
+small grid of low-potential sites just outside the bulk, accepted only on
+strict energy decrease.
 """
 
 from __future__ import annotations
@@ -118,15 +121,13 @@ def repair_outliers(cfg: Configuration, kernel: Kernel) -> Configuration:
         return cfg
     energy, _, _ = _energy_stats(cfg.points, kernel)
     repaired = _repair_points(cfg.points, kernel, energy)
-    if repaired is None:
-        return cfg
-    return Configuration(repaired[0])
+    return cfg if repaired is None else Configuration(repaired[0])
 
 
 def _repair_points(points: np.ndarray, kernel: Kernel,
-                   energy: float) -> Optional[Tuple[np.ndarray, float, float]]:
-    """The repair move from points at the given energy: (candidate, its energy,
-    its diameter), or None when there is no move or it does not lower the energy."""
+                   energy: float) -> Optional[Tuple[np.ndarray, float]]:
+    """The repair move from points at the given energy: (candidate, its energy),
+    or None when there is no move or it does not lower the energy."""
     n, dim = points.shape
     center = points.mean(axis=0)
     dists = np.linalg.norm(points - center, axis=1)
@@ -163,9 +164,9 @@ def _repair_points(points: np.ndarray, kernel: Kernel,
 
     candidate = points.copy()
     candidate[outliers] = chosen
-    new_energy, _, new_diam = _energy_stats(candidate, kernel)
+    new_energy = _energy_stats(candidate, kernel)[0]
     if new_energy < energy:
-        return candidate, new_energy, new_diam
+        return candidate, new_energy
     return None
 
 
@@ -208,15 +209,11 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
              rng: np.random.Generator):
     """One L-BFGS run; returns (points, energy, gnorm, iters, converged,
     history, repair deltas) or None when the run broke down."""
-    energy, min_d, diam = _energy_stats(points, kernel)
-    if not math.isfinite(energy):
-        return None
     history: List[Tuple[float, float]] = []
     repair_deltas: List[float] = []
     guard_needed = kernel.singular_at_zero
     memory: list = []
-    step = previous_grad = None  # the last accepted step and the gradient it left
-    gnorm = math.inf
+    step = previous_grad = grad = None  # the last accepted step, the gradient it left, this one
     iters = 0
     converged = False
 
@@ -226,12 +223,14 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
             repaired = _repair_points(points, kernel, energy)
             if repaired is not None:
                 repair_deltas.append(repaired[1] - energy)
-                points, energy, diam = repaired
-                memory, step = [], None
-        try:
-            grad = gradient_of_points(points, kernel)
-        except GradientUndefinedError:
-            return None
+                points, memory, step, grad = repaired[0], [], None, None
+        if grad is None:  # the start, or repaired points
+            try:
+                grad, energy, _, diam = gradient_of_points(points, kernel)
+            except GradientUndefinedError:
+                return None
+            if not math.isfinite(energy):
+                return None
         gnorm = _max_row_norm(grad)
         history.append((energy, gnorm))
         if gnorm <= settings.grad_tol:
@@ -253,25 +252,22 @@ def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = points + t * direction
-            trial_energy, trial_min, trial_diam = _energy_stats(trial, kernel)
-            ok = math.isfinite(trial_energy) and trial_min > 0.0
+            try:
+                trial_grad, trial_energy, trial_min, trial_diam = gradient_of_points(trial, kernel)
+            except GradientUndefinedError:  # coincident points: a rejected trial
+                trial_energy = math.nan
+            ok = math.isfinite(trial_energy)
             if ok and guard_needed:
                 ok = trial_min >= _COLLISION_GUARD * max(diam, trial_diam)
             if ok and trial_energy <= energy + _ARMIJO * t * slope:
                 step, previous_grad = trial - points, grad
-                points, energy, diam = trial, trial_energy, trial_diam
+                points, energy, diam, grad = trial, trial_energy, trial_diam, trial_grad
                 accepted = True
                 break
             t *= _SHRINK
         if not accepted:
             break  # no acceptable step left at this scale
-    if not converged and iters:
-        # the last recorded gradient predates the final accepted step
-        try:
-            gnorm = _max_row_norm(gradient_of_points(points, kernel))
-        except GradientUndefinedError:
-            pass
-    return points, energy, gnorm, iters, converged, history, repair_deltas
+    return points, energy, _max_row_norm(grad), iters, converged, history, repair_deltas
 
 
 def minimize(kernel: Kernel, n: int, dim: int,

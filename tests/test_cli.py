@@ -532,6 +532,10 @@ class TestOutOfRange:
          "ball center"),
         ("quantize", {"measure": {"type": "atoms", "positions": [[0, 0], [1]],
                                   "weights": [0.5, 0.5]}}, "atom positions"),
+        ("quantize", {"measure": {"type": "uniform_box", "lo": [[0, 0], [1]], "hi": [1, 1]}},
+         "box corners"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [[0, 0], [1]],
+                                  "hi": [1, 1]}}, "box corners"),
     ])
     def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys,
                                                       command, overrides, text):

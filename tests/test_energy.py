@@ -191,6 +191,14 @@ class TestGradient:
         with pytest.raises(GradientUndefinedError):
             gradient(cfg, PowerLawKernel(-1, 2, dim=2))
 
+    def test_no_force_where_the_kernel_overflows(self):
+        """Two points 1e-160 apart: r^-1.99 overflows, so the energy is +inf,
+        and the pass leaves NaN gradient rows without evaluating the force
+        terms, whose -inf * 0 would warn."""
+        pts = np.array([[0.0, 0.0], [1e-160, 0.0], [1.0, 1.0]])
+        g, value, lo, _ = energy.gradient_of_points(pts, PowerLawKernel(-1.99, 2, dim=2))
+        assert value == math.inf and lo > 0.0 and np.isnan(g).all()
+
 
 class TestWorkerThreads:
     def test_worker_count_is_capped_at_the_core_count(self):
@@ -220,13 +228,12 @@ class TestBlockBuffers:
     @pytest.mark.parametrize("grad", [False, True])
     def test_a_warm_pass_allocates_about_one_block(self, grad):
         """Once this thread has run a pass, a pass at n=200 (one block)
-        allocates little besides the kernel's (200, 200) result."""
+        allocates little besides the kernel's (200, 200) result; a gradient
+        pass frees it before its derivative's."""
         pts = np.random.default_rng(0).normal(size=(200, 2))
-        order = energy._canonical_order(pts)
-        pts = pts[order]
 
         def warm_pass():
-            return energy._forces(pts, PL2, order) if grad else energy._potentials(pts, PL2)
+            return energy._potentials(pts, PL2, grad)
 
         warm_pass()
         tracemalloc.start()
@@ -250,6 +257,21 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * (energy._BLOCK_ELEMENTS + 5 * 1100) * 8
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_warm_gradient_pass_allocates_one_block_and_the_partials(self, dim):
+        """The gradient pass over the same tiles adds the (dim, 5, 1100)
+        force partials, not a block per axis."""
+        pts = np.random.default_rng(1).normal(size=(1100, dim))
+        kernel = PowerLawKernel(1, 2, dim=dim)
+        energy.gradient_of_points(pts, kernel)
+        tracemalloc.start()
+        try:
+            energy.gradient_of_points(pts, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (energy._BLOCK_ELEMENTS + (1 + dim) * 5 * 1100) * 8
 
 
 class TestPotential:

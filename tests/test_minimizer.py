@@ -1,3 +1,4 @@
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -113,6 +114,26 @@ class TestMinimize:
 
 
 class TestSearchDirection:
+    def test_one_pass_per_line_search_trial(self):
+        """Each trial's one pass gives its energy and its gradient, so the
+        kernel's derivative is evaluated on every distance block but the
+        final energy pass's (n=50 is one tile, one block per pass)."""
+        calls = Counter()
+
+        class Counting(PowerLawKernel):  # counts the evaluations on distance blocks
+            def radial(self, r):
+                calls["radial"] += np.ndim(r) == 2
+                return super().radial(r)
+
+            def radial_prime(self, r):
+                calls["radial_prime"] += np.ndim(r) == 2
+                return super().radial_prime(r)
+
+        res = minimize(Counting(1, 2, dim=2), 50, 2,
+                       MinimizeSettings(restarts=2, seed=5, grad_tol=1e-7, repair=False))
+        assert res.iterations > 10
+        assert calls["radial"] == calls["radial_prime"] + 1
+
     def test_iterations_to_tolerance(self):
         # steepest descent needs 862 iterations here
         res = minimize(PL2, 50, 2, MinimizeSettings(restarts=1, seed=5, grad_tol=1e-7))

@@ -173,10 +173,28 @@ def workers(count):
         sys.setswitchinterval(interval)
 
 
+def tile_order_sums(terms, antisymmetric=False):
+    """Each row's sum of a one-family block of terms, as the triangle tiles
+    add it: tile (I, J)'s row sums go to the rows of I and, off the
+    diagonal, its column sums to the rows of J, summed per row in tile
+    order.  Antisymmetric terms take the negated column sums, on a diagonal
+    tile too, where they add each row's terms in order."""
+    t = math.isqrt(energy._BLOCK_ELEMENTS)
+    parts = np.empty((-(-len(terms) // t), len(terms)))
+    for a in range(0, len(terms), t):
+        for b in range(a, len(terms), t):
+            tile = np.ascontiguousarray(terms[a:a + t, b:b + t])
+            if b != a or not antisymmetric:
+                parts[b // t, a:a + t] = tile.sum(axis=1)
+            if b != a or antisymmetric:
+                parts[a // t, b:b + t] = -tile.sum(axis=0) if antisymmetric else tile.sum(axis=0)
+    return parts.sum(axis=0)
+
+
 def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
     """_pair_pass on one dense block, with np.linalg.norm distances; a one-
-    family kernel sum adds the upper-triangle tiles' row and column sums of
-    that block per row in tile order, as the pass does."""
+    family kernel sum or gradient adds the upper-triangle tiles' row and
+    column sums of that block per row in tile order, as the pass does."""
     diffs = rows[:, None, :] - cols[None, :, :]
     d = np.linalg.norm(diffs, axis=2)
     k = np.arange(len(rows) if order is not None else 0)
@@ -192,20 +210,17 @@ def dense_pair_pass(rows, cols, kernel=None, order=None, grad=False):
             raise GradientUndefinedError(f"coincident points {order[i]} and {order[j]}:")
         w = kernel.radial_prime(d) / d
         w[k, k] = 0.0
-        return np.einsum("ij,ijk->ik", w, diffs), lo, hi
+        forces = np.stack([tile_order_sums(w * diffs[:, :, axis], True)
+                           for axis in range(rows.shape[1])], axis=1)
+        if len(rows) <= math.isqrt(energy._BLOCK_ELEMENTS) and rows.shape[1] >= 2:
+            # one tile: its negated column sums add each row's terms in order, as einsum does
+            assert np.array_equal(forces, np.einsum("ij,ijk->ik", w, diffs))
+        return forces, lo, hi
     vals = kernel.radial(d)
     vals[k, k] = 0.0
     if order is None:
         return vals.sum(axis=1), lo, hi
-    t = math.isqrt(energy._BLOCK_ELEMENTS)
-    parts = np.empty((-(-len(rows) // t), len(rows)))
-    for a in range(0, len(rows), t):
-        for b in range(a, len(rows), t):
-            tile = vals[a:a + t, b:b + t]
-            parts[b // t, a:a + t] = tile.sum(axis=1)
-            if b != a:
-                parts[a // t, b:b + t] = tile.sum(axis=0)
-    return parts.sum(axis=0), lo, hi
+    return tile_order_sums(vals), lo, hi
 
 
 @SETTINGS
@@ -242,8 +257,8 @@ def test_pair_pass_is_the_dense_reference_for_any_worker_count(n, m, dim, seed, 
                 got = None
             elif m:
                 got = potential_grid(cols, 1.0, k, rows)
-            elif grad:
-                got = energy._forces(rows, k, order)
+            elif grad:  # rows are in canonical order already
+                got = energy._potentials(rows, k, grad=True)[4]
             else:  # rows are in canonical order already: the tiled sums keep it
                 got, _, *tiled_extent = energy._potentials(rows, k)
                 assert tuple(tiled_extent) == want[1:]
@@ -320,7 +335,9 @@ def test_each_schedule_gives_its_reducer_the_dense_distances(n):
                 rows, width = slice(i, i + len(d)), slice(j, j + d.shape[1])
                 assert np.array_equal(d, want[rows, width])
                 if options.get("grad"):
-                    assert np.array_equal(diffs[0], pts[rows, None, :] - cols[None, width, :])
+                    assert len(diffs[0]) == 3
+                    for axis, plane in enumerate(diffs[0]):
+                        assert np.array_equal(plane, pts[rows, None, axis] - cols[None, width, axis])
                 cover = np.zeros(want.shape, bool)
                 cover[rows, width] = True
                 met += cover | cover.T if pairs == "unordered" else cover
@@ -328,6 +345,25 @@ def test_each_schedule_gives_its_reducer_the_dense_distances(n):
                 assert met.max(initial=1) == 1 and np.all(met[dense <= reach] == 1)
             else:
                 assert np.all(met == 1)
+
+
+@SETTINGS
+@given(**clouds)
+@example(n=256, dim=2, seed=5, ties=True, kernel="power_law")  # one tile
+@example(n=1100, dim=3, seed=6, ties=False, kernel="morse")  # 5 tile rows, the last ragged
+def test_one_gradient_pass_gives_the_energy_extent_and_dense_gradient(n, dim, seed, ties, kernel):
+    """gradient_of_points' energy, min and diameter are _energy_stats' bits,
+    and its gradient is the dense tile-order reference's, for any worker count."""
+    pts = make_points(n, dim, seed, ties)
+    k = make_kernel(kernel, dim)
+    order = energy._canonical_order(pts)
+    forces = dense_pair_pass(pts[order], pts[order], k, order, grad=True)[0]
+    want = (2.0 / n**2) * forces[np.argsort(order)], *energy._energy_stats(pts, k)
+    for count in (1, 2, 3):
+        with workers(count):
+            got = energy.gradient_of_points(pts, k)
+        assert got[1:] == want[1:]
+        assert np.array_equal(got[0], want[0])
 
 
 def test_gradient_error_names_the_first_block_for_any_worker_count():
