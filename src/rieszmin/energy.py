@@ -121,8 +121,8 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
 def worker_threads(count: int):
     """Run the blocks of the pair passes made in the with-block on this
     thread on ``count`` worker threads, at most one per core; results are
-    the same for any count.  The pool starts with the first pass that has
-    more than one block."""
+    the same for any count.  The pool starts with the first call that has
+    two tasks or more: the blocks of a pass, or best-of-k's tuples."""
     count = min(count, os.cpu_count() or 1)
     pools = []
 
@@ -140,6 +140,18 @@ def worker_threads(count: int):
         _POOL.reset(token)
         for made in pools:
             made.shutdown()
+
+
+def _on_workers(task, *args) -> list:
+    """[task(*a) for a in zip(*args)] in order, on the worker_threads block's threads for two tasks
+    or more, each under the caller's np.errstate (a worker inherits neither it nor the pool)."""
+    errstate, pool = np.geterr(), _POOL.get()
+
+    def run(*a):
+        with np.errstate(**errstate):
+            return task(*a)
+
+    return list((map if pool is None or len(args[0]) < 2 else pool().map)(run, *args))
 
 
 def _scratch(name: str, shape: tuple) -> np.ndarray:
@@ -169,7 +181,6 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.nd
     pair within it; with tiles=True (one family) they are the _TILE x _TILE tiles (I, J), I <= J."""
     axes = np.ascontiguousarray(cols.T)
     step = _TILE if tiles else max(1, _BLOCK_ELEMENTS // max(1, len(cols)))
-    errstate = np.geterr()
 
     first, last = np.zeros(len(rows), int), np.full(len(rows), len(cols))
     if reach is not None:
@@ -193,29 +204,26 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.nd
         step *= 2  # more rows to a block, while it meets few enough pairs
 
     def block(start, head, width):
-        with np.errstate(**errstate):  # worker threads do not inherit the caller's
-            chunk = rows[start:start + step]
-            shape = (len(chunk), width)
-            d, part = _scratch("d", shape), _scratch("part", shape)
-            # a gradient pass keeps the differences r_i - c_j, one C-contiguous plane per
-            # axis; squares summed in axis order, as np.linalg.norm sums them for dim < 8
-            diffs = _scratch("diffs", (rows.shape[1],) + shape) if grad else None
-            for k in range(rows.shape[1]):
-                into = part if k else d
-                diff = np.subtract.outer(chunk[:, k], axes[k, head:head + width],
-                                         out=diffs[k] if grad else into)
-                np.square(diff, out=into)
-                if k:
-                    d += part
-            np.sqrt(d, out=d)
-            if order is not None:
-                d[_self_pairs(start, head, shape)] = math.inf
-            return reduce(d, start, head, diffs) if grad else reduce(d, start, head)
+        chunk = rows[start:start + step]
+        shape = (len(chunk), width)
+        d, part = _scratch("d", shape), _scratch("part", shape)
+        # a gradient pass keeps the differences r_i - c_j, one C-contiguous plane per
+        # axis; squares summed in axis order, as np.linalg.norm sums them for dim < 8
+        diffs = _scratch("diffs", (rows.shape[1],) + shape) if grad else None
+        for k in range(rows.shape[1]):
+            into = part if k else d
+            diff = diffs[k] if grad else into
+            np.copyto(diff, chunk[:, k, None])  # r_i - c_j, with np.subtract.outer's bits
+            np.subtract(diff, axes[k, head:head + width], out=diff)  # at half its cost
+            np.square(diff, out=into)
+            if k:
+                d += part
+        np.sqrt(d, out=d)
+        if order is not None:
+            d[_self_pairs(start, head, shape)] = math.inf
+        return reduce(d, start, head, diffs) if grad else reduce(d, start, head)
 
-    blocks = spans(step)
-    pool = _POOL.get()
-    # in block order, so the first error wins
-    return list((map if pool is None or len(blocks[0]) < 2 else pool().map)(block, *blocks))
+    return _on_workers(block, *spans(step))  # in block order, so the first error wins
 
 
 def _potentials(points: np.ndarray, kernel: Kernel, grad: bool = False):

@@ -6,10 +6,11 @@ representative per cell, and keeps the first n cells in lexicographic order
 of their split indices, dropping the last l^dim - n.
 
 Representative selection goes beyond cell means when a kernel is supplied:
-best-of-k tuples drawn from the product of the cell measures, optionally
-followed by a greedy per-cell improvement sweep, with the normalized pair
-sum reported next to a Monte-Carlo estimate of its average so the selection
-quality can be asserted statistically.
+best-of-k tuples drawn from the product of the cell measures, each tuple's
+pair pass run whole on one worker thread (energy.worker_threads), optionally
+followed by a greedy per-cell improvement sweep whose cells share one pair
+pass per chunk, with the normalized pair sum reported next to a Monte-Carlo
+estimate of its average so the selection quality can be asserted statistically.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import Configuration, _energy_stats, potential_grid
+from .energy import _BLOCK_ELEMENTS, Configuration, _energy_stats, _on_workers, _pair_pass
 from .errors import QuantizeError, ValidationError
 from .kernels import Kernel
 from .measures import Restriction, TargetMeasure
@@ -148,6 +149,8 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         raise ValidationError(f"strategy {strategy!r} needs a kernel")
     if kernel is not None and kernel.dim != part.dim:
         raise ValidationError("kernel dimension does not match the partition")
+    if strategy != "conditional-mean" and k < 1:
+        raise ValidationError(f"strategy {strategy!r} needs k >= 1, got {k}")
 
     cells = part.cells
     m = len(cells)
@@ -162,8 +165,6 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                                        bound_estimate=None, bound_stderr=None)
         return part
 
-    if k < 1:
-        raise ValidationError(f"strategy {strategy!r} needs k >= 1, got {k}")
     rng = np.random.default_rng(seed)
     streams = rng.spawn(m)
 
@@ -172,7 +173,7 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         draws = np.empty((k, m, part.dim))
         for i, cell in enumerate(cells):
             draws[:, i, :] = cell.restriction.sample(k, streams[i])
-        values = np.array([_energy_stats(draws[j], kernel)[0] for j in range(k)])
+        values = np.array(_on_workers(lambda points: _energy_stats(points, kernel)[0], draws))
         finite = np.isfinite(values)
         finite_values.extend(values[finite].tolist())
         if np.any(finite):
@@ -194,15 +195,24 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
 
     improvements = 0
     if strategy == "hybrid":
+        ys = np.array([c.restriction.sample(1, stream)[0] for c, stream in zip(cells, streams)])
+        # cells per chunk: the most with 2 c (m + c) <= _BLOCK_ELEMENTS, so a chunk is one block
+        step = max(1, (math.isqrt(m * m + 2 * _BLOCK_ELEMENTS) - m) // 2)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i, cell in enumerate(cells):
-                y = cell.restriction.sample(1, streams[i])[0]
-                old, new = potential_grid(np.delete(best_points, i, axis=0), 1.0, kernel,
-                                          np.stack([best_points[i], y]))
-                delta = 2.0 * (new - old) / m**2
-                if math.isfinite(delta) and delta < 0.0:
-                    best_points[i] = y
-                    improvements += 1
+            for s in range(0, m, step):
+                # rows best[i], ys[i] of the chunk's cells i; cols best, then their ys
+                chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, part.dim)
+                blocks = _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]),
+                                    lambda d, i, j: kernel.radial(d))
+                grid = blocks[0] if len(blocks) == 1 else np.vstack(blocks)  # for m > 32767
+                for i in range(s, s + len(chunk) // 2):
+                    a = 2 * (i - s)  # cell i's rows; its own column goes, as potential_grid's
+                    old, new = np.delete(grid[a:a + 2, :m], i, axis=1).sum(axis=1)
+                    delta = 2.0 * (new - old) / m**2
+                    if math.isfinite(delta) and delta < 0.0:
+                        best_points[i] = ys[i]
+                        improvements += 1
+                        grid[a + 2:, i] = grid[a + 2:, m - s + i]  # later cells see the move
         best_value = _energy_stats(best_points, kernel)[0]
 
     for cell, rep in zip(cells, best_points):

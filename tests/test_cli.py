@@ -536,6 +536,8 @@ class TestOutOfRange:
          "box corners"),
         ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [[0, 0], [1]],
                                   "hi": [1, 1]}}, "box corners"),
+        # one cell, which needs no draws, still needs k >= 1
+        ("quantize", {"n": 1, "quantize": {"strategy": "hybrid", "k": 0}}, "k >= 1"),
     ])
     def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys,
                                                       command, overrides, text):

@@ -21,7 +21,9 @@ from rieszmin import (
     discrete_energy,
     gradient,
     partial_energy,
+    partition,
     potential,
+    select_representatives,
     single_atom,
     truncated_energy_gap,
 )
@@ -207,6 +209,8 @@ class TestWorkerThreads:
             assert (1 if pool is None else pool()._max_workers) == (os.cpu_count() or 1)
 
     def test_caller_errstate_holds_in_worker_threads(self):
+        """In the blocks of one pass, and in best-of-k's tuples, which run whole on the
+        workers (16 cells: one tile each)."""
         seen = []
 
         class Recording(PowerLawKernel):
@@ -215,12 +219,16 @@ class TestWorkerThreads:
                              np.geterr()))
                 return super().radial(r)
 
+        kernel = Recording(1, 2, dim=2)
         pts = np.random.default_rng(0).normal(size=(600, 2))
+        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
         with mock.patch.object(energy.os, "cpu_count", return_value=2), \
                 np.errstate(over="raise", under="warn", invalid="print"), worker_threads(2):
             want = np.geterr()
-            pair_interaction_sum(pts, Recording(1, 2, dim=2))
-        assert len(seen) > 1
+            pair_interaction_sum(pts, kernel)
+            blocks = len(seen)
+            select_representatives(part, kernel, strategy="best-of-k", k=4)
+        assert blocks > 1 and len(seen) == blocks + 4
         assert all(not on_main and err == want for on_main, err in seen)
 
 

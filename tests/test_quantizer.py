@@ -1,4 +1,6 @@
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from rieszmin import (
     AtomicMeasure,
     Configuration,
+    MorseKernel,
     PowerLawKernel,
+    TabulatedKernel,
     UniformBoxMeasure,
     ValidationError,
     discrete_energy,
@@ -17,6 +21,8 @@ from rieszmin import (
     single_atom,
     strip_thresholds,
 )
+from rieszmin import energy, quantizer
+from rieszmin.energy import _energy_stats, potential_grid
 
 PL1 = PowerLawKernel(1, 2, dim=1)
 
@@ -138,6 +144,89 @@ class TestSelectRepresentatives:
         part = partition(UniformBoxMeasure([0.0], [1.0]), 2)
         with pytest.raises(ValidationError):
             select_representatives(part, PL1, strategy="annealing")
+
+
+def reference_hybrid(part, kernel, k, seed):
+    """Hybrid selection with the greedy sweep as one potential_grid call per cell over the
+    others: best-of-k, then each cell's candidate from its stream after one round of k draws
+    (every tuple here has a finite pair sum)."""
+    sel = select_representatives(part, kernel, strategy="best-of-k", k=k, seed=seed).selection
+    best = part.representatives().copy()
+    m, improvements = len(best), 0
+    streams = np.random.default_rng(seed).spawn(m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, (cell, stream) in enumerate(zip(part.cells, streams)):
+            cell.restriction.sample(k, stream)
+            y = cell.restriction.sample(1, stream)[0]
+            old, new = potential_grid(np.delete(best, i, axis=0), 1.0, kernel,
+                                      np.stack([best[i], y]))
+            delta = 2.0 * (new - old) / m**2
+            if math.isfinite(delta) and delta < 0.0:
+                best[i] = y
+                improvements += 1
+    return best, improvements, _energy_stats(best, kernel)[0], sel.bound_estimate
+
+
+SWEEP_KERNELS = {
+    "pl(1,2)": lambda dim: PowerLawKernel(1, 2, dim=dim),
+    "pl(-0.5,2)": lambda dim: PowerLawKernel(-0.5, 2, dim=dim),
+    "morse": lambda dim: MorseKernel(4, 1, 0.5, 2, dim=dim),
+    "tabulated": lambda dim: TabulatedKernel(radii=(0.0, 0.1, 0.5, 1.0, 2.0),
+                                             values=(math.inf, 3.0, 1.0, 0.5, 0.7), dim=dim),
+}
+
+
+class TestGreedySweep:
+    # m = 30, 25 and 27 cells; none is a multiple of the 4-cell chunks
+    @pytest.mark.parametrize("dim, n", [(1, 30), (2, 25), (3, 27)])
+    @pytest.mark.parametrize("kernel", sorted(SWEEP_KERNELS))
+    @pytest.mark.parametrize("chunks", ["one-short", "one-exact", "ragged", "ragged-row-blocks"])
+    def test_chunked_sweep_is_the_per_cell_sweep_bit_for_bit(self, dim, n, kernel, chunks):
+        """The cells of a chunk share one pair pass; every decision, and so every
+        bit, is the per-cell sweep's, for 1, 2 and 3 worker threads.  A chunk of
+        c cells spans 2 c (m + c) pairs; the block sizes below make it the whole
+        partition and more, exactly the partition, or 4 cells (with row blocks of
+        one probe in the last case)."""
+        g = SWEEP_KERNELS[kernel](dim)
+        mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
+        m = partition(mu, n).cell_count
+        sizes = {"one-short": 2 * (m + 1) * (2 * m + 1), "one-exact": 4 * m * m,
+                 "ragged": 8 * (m + 4), "ragged-row-blocks": 8 * (m + 4)}
+        want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 4, 7)
+        assert improvements > 0
+        block = m + 4 if chunks.endswith("row-blocks") else energy._BLOCK_ELEMENTS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent thread switches, so that a race would show
+        try:
+            for count in (1, 2, 3):
+                with mock.patch.object(quantizer, "_BLOCK_ELEMENTS", sizes[chunks]), \
+                        mock.patch.object(energy, "_BLOCK_ELEMENTS", block), \
+                        mock.patch.object(energy.os, "cpu_count", return_value=count), \
+                        energy.worker_threads(count):
+                    part = select_representatives(partition(mu, n), g, "hybrid", k=4, seed=7)
+                sel = part.selection
+                assert part.representatives().tobytes() == want.tobytes()
+                assert sel.greedy_improvements == improvements
+                assert sel.achieved_G == achieved and sel.bound_estimate == bound
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_pair_pass_per_chunk(self):
+        """A hybrid selection makes k tuple passes, one pass per chunk of the sweep
+        and one final energy pass, not one pass per cell."""
+        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 1024)
+        m, k = part.cell_count, 2
+        chunk = max(c for c in range(1, m + 1) if 2 * c * (m + c) <= energy._BLOCK_ELEMENTS)
+        real, passes = energy._pair_pass, []
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(energy, "_pair_pass", counting), \
+                mock.patch.object(quantizer, "_pair_pass", counting):
+            select_representatives(part, PowerLawKernel(1, 2, dim=2), strategy="hybrid", k=k)
+        assert chunk < m and len(passes) <= k + -(-m // chunk) + 1
 
 
 class TestQuantize:
