@@ -53,7 +53,6 @@ from .quantizer import (
     quantize,
     select_representatives,
     side_count,
-    strip_thresholds,
 )
 from .minimizer import (
     EnergyTrace,

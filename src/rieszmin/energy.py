@@ -27,6 +27,7 @@ import numpy as np
 from .errors import GradientUndefinedError, UsageError, ValidationError
 from .io import _read_rows
 from .kernels import Kernel
+from .measures import _as_points
 
 _BLOCK_ELEMENTS = 2**16  # pairs per block: its few float buffers fit a 2 MB L2 cache
 _TILE = math.isqrt(_BLOCK_ELEMENTS)  # the side of a triangle pass's square tiles
@@ -38,18 +39,6 @@ _SCRATCH = threading.local()  # each thread's block buffers, kept from pass to p
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
-
-
-def _as_points(points, what: str = "points") -> np.ndarray:
-    pts = np.array(points, dtype=float, copy=True)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] < 1:  # the pair pass builds distances from axis 0 on
-        raise ValidationError(f"{what} must be an (n, dim >= 1) array, got shape {pts.shape}")
-    if pts.size and not np.all(np.isfinite(pts)):
-        raise ValidationError(f"{what} must have finite coordinates")
-    pts.setflags(write=False)
-    return pts
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -302,21 +303,16 @@ class TabulatedKernel(Kernel):
             j += 1
         return float(radii[j]) if j >= 1 else None
 
-    @property
+    @cached_property  # writes the instance __dict__, which a frozen dataclass allows
     def _interp(self):
-        cached = self.__dict__.get("_interp_cache")
-        if cached is None:
-            from scipy.interpolate import PchipInterpolator
+        from scipy.interpolate import PchipInterpolator
 
-            radii = np.asarray(self.radii)
-            values = np.asarray(self.values)
-            finite = np.isfinite(values)
-            spline = PchipInterpolator(radii[finite], values[finite], extrapolate=False)
-            cached = (spline, spline.derivative(), float(radii[finite][0]),
-                      float(radii[finite][-1]), float(values[finite][0]),
-                      float(values[finite][-1]))
-            self.__dict__["_interp_cache"] = cached
-        return cached
+        radii = np.asarray(self.radii)
+        values = np.asarray(self.values)
+        finite = np.isfinite(values)
+        spline = PchipInterpolator(radii[finite], values[finite], extrapolate=False)
+        return (spline, spline.derivative(), float(radii[finite][0]),
+                float(radii[finite][-1]), float(values[finite][0]), float(values[finite][-1]))
 
     def radial(self, r):
         spline, _, lo, hi, v_lo, v_hi = self._interp

@@ -1,5 +1,6 @@
 """Target probability measures with the two queries the quantizer needs:
-conditional axis quantiles on a rectangle, and rectangle-restricted sampling.
+splitting a rectangle restriction at a mass fraction along an axis, and
+rectangle-restricted sampling.
 
 Two exact backends cover everything:
 
@@ -10,7 +11,9 @@ Two exact backends cover everything:
 
 Densities on a box and uniform balls are backed by a fine-grid atom cloud
 built once at construction (the grid resolution is the declared accuracy of
-that surrogate); their global samplers stay exact or jittered-smooth.
+that surrogate); their global samplers stay exact or jittered-smooth.  Point
+arrays (atom clouds and configurations) pass one validator, _as_points, and
+box corners another, _box.
 """
 
 from __future__ import annotations
@@ -34,6 +37,30 @@ def _floats(values, what: str) -> np.ndarray:  # values as a new float array
         raise ValidationError(f"{what} must be a regular array of numbers") from None
 
 
+def _as_points(points, what: str = "points") -> np.ndarray:
+    pts = _floats(points, what)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[1] < 1:  # the pair pass builds distances from axis 0 on
+        raise ValidationError(f"{what} must be an (n, dim >= 1) array, got shape {pts.shape}")
+    if pts.size and not np.all(np.isfinite(pts)):
+        raise ValidationError(f"{what} must have finite coordinates")
+    pts.setflags(write=False)
+    return pts
+
+
+def _box(lo, hi):
+    """Box corners as float arrays: matching, 1-d, nonempty, finite, and with
+    positive extent on every axis."""
+    lo = np.atleast_1d(_floats(lo, "box corners"))
+    hi = np.atleast_1d(_floats(hi, "box corners"))
+    if lo.shape != hi.shape or lo.ndim != 1 or not lo.size:
+        raise ValidationError("box corners must be matching nonempty 1-d arrays")
+    if np.any(hi <= lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
+        raise ValidationError("box must have finite positive extent on every axis")
+    return lo, hi
+
+
 def _full_rect(dim: int) -> np.ndarray:
     return np.array([_FULL] * dim, dtype=float)
 
@@ -52,11 +79,6 @@ class Restriction(abc.ABC):
     @property
     def dim(self) -> int:
         return self.rect.shape[0]
-
-    @abc.abstractmethod
-    def axis_threshold(self, axis: int, fraction: float) -> float:
-        """Minimal t at which the renormalized axis-marginal CDF reaches
-        ``fraction``; for atomic measures the minimum sits on an atom."""
 
     @abc.abstractmethod
     def split_fraction(self, axis: int, fraction: float):
@@ -105,6 +127,8 @@ class AtomicRestriction(Restriction):
         self.mass = float(mass)
 
     def axis_threshold(self, axis: int, fraction: float) -> float:
+        """Minimal t at which the renormalized axis-marginal CDF reaches
+        ``fraction``; the minimum sits on an atom."""
         order = np.argsort(self.points[:, axis], kind="stable")
         cum = np.cumsum(self.weights[order])
         target = fraction * self.mass
@@ -140,14 +164,6 @@ class AtomicRestriction(Restriction):
             )
         return left, right, t
 
-    def clip(self, rect: np.ndarray) -> "AtomicRestriction":
-        """Restriction to a closed rectangle with full boundary weights."""
-        inside = np.all((self.points >= rect[:, 0]) & (self.points <= rect[:, 1]), axis=1)
-        pts, wts = self.points[inside], self.weights[inside]
-        if pts.shape[0] == 0:
-            raise ValidationError("the rectangle carries no mass")
-        return AtomicRestriction(pts, wts, rect.copy(), float(wts.sum()))
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         p = self.weights / self.weights.sum()
         idx = rng.choice(len(p), size=count, p=p)
@@ -173,10 +189,6 @@ class ProductRestriction(Restriction):
 
     def _q(self, axis: int, u):
         return np.asarray(self.quantiles[axis](np.asarray(u)), dtype=float)
-
-    def axis_threshold(self, axis: int, fraction: float) -> float:
-        lo, hi = self.u_rect[axis]
-        return float(self._q(axis, lo + fraction * (hi - lo)))
 
     def split_fraction(self, axis: int, fraction: float):
         lo, hi = self.u_rect[axis]
@@ -213,38 +225,6 @@ class ProductRestriction(Restriction):
             for axis in range(self.dim)
         ])
 
-    def clip(self, rect: np.ndarray) -> "ProductRestriction":
-        u_rect = self.u_rect.copy()
-        new_rect = self.rect.copy()
-        mass = 1.0
-        for axis in range(self.dim):
-            u_lo = self._u_of(axis, rect[axis, 0], side="lo")
-            u_hi = self._u_of(axis, rect[axis, 1], side="hi")
-            u_lo = max(u_lo, self.u_rect[axis, 0])
-            u_hi = min(u_hi, self.u_rect[axis, 1])
-            if u_hi <= u_lo:
-                raise ValidationError("the rectangle carries no mass")
-            u_rect[axis] = (u_lo, u_hi)
-            new_rect[axis, 0] = max(new_rect[axis, 0], rect[axis, 0])
-            new_rect[axis, 1] = min(new_rect[axis, 1], rect[axis, 1])
-            mass *= (u_hi - u_lo) / (self.u_rect[axis, 1] - self.u_rect[axis, 0])
-        return ProductRestriction(self.quantiles, u_rect, new_rect, mass * self.mass)
-
-    def _u_of(self, axis: int, t: float, side: str) -> float:
-        """CDF value of a position via bisection on the quantile function."""
-        if t == math.inf:
-            return 1.0
-        if t == -math.inf:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(self._q(axis, mid)) <= t:
-                lo = mid
-            else:
-                hi = mid
-        return lo if side == "lo" else hi
-
 
 # ---------------------------------------------------------------------------
 # target measures
@@ -275,13 +255,9 @@ class AtomicMeasure(TargetMeasure):
     """A finite weighted atom cloud (empirical sample clouds, atom mixes)."""
 
     def __init__(self, points, weights=None):
-        pts = _floats(points, "atom positions")
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValidationError("atom cloud must be a nonempty (m, dim) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("atom positions must be finite")
+        pts = _as_points(points, "atom positions")
+        if pts.shape[0] < 1:
+            raise ValidationError("atom cloud must be nonempty")
         if weights is None:
             wts = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
@@ -294,7 +270,6 @@ class AtomicMeasure(TargetMeasure):
             if abs(total - 1.0) > 1e-6:
                 raise ValidationError(f"weights must sum to 1, got {total}")
             wts = wts / total
-        pts.setflags(write=False)
         self.points = pts
         self.weights = wts
         self.dim = pts.shape[1]
@@ -344,12 +319,7 @@ class UniformBoxMeasure(ProductQuantileMeasure):
     """Uniform probability on an axis-aligned box."""
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(_floats(lo, "box corners"))
-        hi = np.atleast_1d(_floats(hi, "box corners"))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValidationError("box corners must be matching 1-d arrays")
-        if np.any(hi <= lo) or not np.all(np.isfinite(lo) & np.isfinite(hi)):
-            raise ValidationError("box must have finite positive extent on every axis")
+        lo, hi = _box(lo, hi)
 
         def make_q(a: float, b: float):
             return lambda u: a + np.asarray(u, dtype=float) * (b - a)
@@ -378,10 +348,7 @@ class DensityBoxMeasure(AtomicMeasure):
 
     def __init__(self, density: Callable, lo, hi, cells_per_axis: Optional[int] = None,
                  normalize: bool = False):
-        lo = np.atleast_1d(_floats(lo, "box corners"))
-        hi = np.atleast_1d(_floats(hi, "box corners"))
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValidationError("box corners must match and have positive extent")
+        lo, hi = _box(lo, hi)
         dim = lo.size
         if cells_per_axis is None:
             cells_per_axis = {1: 4096, 2: 256, 3: 40}.get(dim, 16)

@@ -41,22 +41,6 @@ def side_count(n: int, dim: int) -> int:
     return l
 
 
-def strip_thresholds(mu: TargetMeasure, axis: int, l: int,
-                     cell: Optional[np.ndarray] = None) -> np.ndarray:
-    """The l+1 strip thresholds along an axis: -inf, the interior quantiles
-    at fractions (h-1)/l, and +inf; nondecreasing by construction."""
-    if l < 1:
-        raise ValidationError("strip count must be >= 1")
-    restriction = mu.root_restriction()
-    if cell is not None:
-        restriction = restriction.clip(np.asarray(cell, dtype=float))
-    out = np.empty(l + 1)
-    out[0], out[-1] = -math.inf, math.inf
-    for h in range(2, l + 1):
-        out[h - 1] = restriction.axis_threshold(axis, (h - 1) / l)
-    return out
-
-
 @dataclass
 class PartitionCell:
     rect: np.ndarray

@@ -48,16 +48,13 @@ def scatter_svg(points: np.ndarray, labels: Optional[Sequence[int]] = None,
     return "\n".join(parts) + "\n"
 
 
-def line_chart_svg(xs: Sequence[float], series: dict, title: str = "",
-                   log_x: bool = True) -> str:
-    xs = np.asarray(xs, dtype=float)
-    if log_x:
-        xs = np.log2(xs)
-    ys_all = np.concatenate([
-        np.asarray([v for v in ys if v is not None], dtype=float)
-        for ys in series.values()
-    ])
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+def line_chart_svg(xs: Sequence[float], series: dict, title: str = "") -> str:
+    """Each series against log2 of xs; a None or non-finite value is left
+    out of both the y-range and the line."""
+    xs = np.log2(np.asarray(xs, dtype=float))
+    ys_all = [float(y) for ys in series.values() for y in ys
+              if y is not None and math.isfinite(y)]
+    y_lo, y_hi = min(ys_all, default=0.0), max(ys_all, default=0.0)
     pad = 0.05 * max(y_hi - y_lo, 1e-9)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     x_lo, x_hi = float(xs.min()), float(xs.max())

@@ -152,6 +152,20 @@ class TestTrace:
         assert main(["trace", "--config", cfg, "--out", str(out), "--svg"]) == 0
         assert (out / "trace.svg").exists()
 
+    def test_svg_leaves_an_infinite_energy_out(self, tmp_path):
+        """Coincident atoms make the n=9 quantized energy of a singular kernel
+        +inf; the chart's y-range and line take the finite rows only."""
+        cfg = write_config(
+            tmp_path, n_list=[4, 9], trace={"strategy": "conditional-mean", "mc_samples": 2000},
+            kernel={"variant": "power_law", "alpha": -0.5, "beta": 2.0, "dim": 2},
+            measure={"type": "atoms", "positions": [[0, 0], [0, 0], [1, 1], [1, 1], [0.3, 0.7]],
+                     "weights": [0.2] * 5})
+        out = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--out", str(out), "--svg"]) == 0
+        assert (out / "trace.csv").read_text().splitlines()[2].startswith("9,inf,")
+        svg = (out / "trace.svg").read_text()
+        assert "nan" not in svg and svg.count("<circle") == 1
+
 
 class TestDiagnose:
     def test_optimal_pair_spread(self, tmp_path):
@@ -538,6 +552,13 @@ class TestOutOfRange:
                                   "hi": [1, 1]}}, "box corners"),
         # one cell, which needs no draws, still needs k >= 1
         ("quantize", {"n": 1, "quantize": {"strategy": "hybrid", "k": 0}}, "k >= 1"),
+        # atoms without coordinates, and density corners empty or 2-d
+        ("quantize", {"measure": {"type": "atoms", "positions": [[], []],
+                                  "weights": [0.5, 0.5]}}, "atom positions"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [], "hi": []}},
+         "box corners"),
+        ("quantize", {"measure": {"type": "density", "expr": "1", "lo": [[0, 0], [0, 0]],
+                                  "hi": [[1, 1], [1, 1]]}}, "box corners"),
     ])
     def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys,
                                                       command, overrides, text):

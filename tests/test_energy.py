@@ -61,6 +61,10 @@ class TestDiscreteEnergy:
         with pytest.raises(ValidationError, match="dim >= 1"):
             Configuration(np.zeros((3, 0)))
 
+    def test_ragged_points_are_rejected(self):
+        with pytest.raises(ValidationError, match="regular array"):
+            Configuration([[0, 0], [1]])
+
     def test_three_collinear_points(self):
         # hand sum: (2/9) (g(1) + g(1) + g(2)) with g(1) = -1/2, g(2) = 0
         cfg = Configuration(np.array([[0.0], [1.0], [2.0]]))

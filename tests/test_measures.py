@@ -82,7 +82,7 @@ class TestProductQuantile:
         # quantile of Exp(1): -log(1 - u)
         mu = ProductQuantileMeasure([lambda u: -np.log1p(-np.clip(u, 0, 1 - 1e-12))])
         root = mu.root_restriction()
-        assert root.axis_threshold(0, 0.5) == pytest.approx(math.log(2.0), rel=1e-9)
+        assert root.split_fraction(0, 0.5)[2] == pytest.approx(math.log(2.0), rel=1e-9)
         pts = mu.sample(20_000, np.random.default_rng(4))
         assert float(pts.mean()) == pytest.approx(1.0, abs=0.05)
 

@@ -499,15 +499,20 @@ def test_energy_and_gradient_are_translation_invariant(shift, n, dim, seed, ties
 def test_partition_cells_of_tied_atom_clouds_have_exact_masses(n, dim, atoms, levels, seed):
     """Atoms on a grid of `levels` values per axis, with random weights: many
     atoms share a coordinate, so strip thresholds land on tied atoms whose
-    mass is split between neighbouring cells."""
+    mass is split between neighbouring cells.  The strips along each split
+    axis come in order: the next strip's bounds do not fall below this one's."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, levels, size=(atoms, dim)).astype(float)
     weights = rng.uniform(0.1, 1.0, size=atoms)
     part = partition(AtomicMeasure(pts, weights / weights.sum()), n)
     target = 1.0 / side_count(n, dim) ** dim
+    by_index = {cell.index: cell for cell in part.cells}
     for cell in part.cells:
         assert abs(cell.mass - target) <= 1e-12
         assert abs(cell.restriction.weights.sum() - target) <= 1e-12
+        for axis, h in enumerate(cell.index):
+            following = by_index.get(cell.index[:axis] + (h + 1,) + cell.index[axis + 1:])
+            assert following is None or np.all(following.rect[axis] >= cell.rect[axis])
 
 
 def whole(lo, hi):

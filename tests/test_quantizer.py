@@ -19,7 +19,6 @@ from rieszmin import (
     select_representatives,
     side_count,
     single_atom,
-    strip_thresholds,
 )
 from rieszmin import energy, quantizer
 from rieszmin.energy import _energy_stats, potential_grid
@@ -34,39 +33,6 @@ class TestSideCount:
     ])
     def test_integer_exact_nth_root_ceiling(self, n, dim, expected):
         assert side_count(n, dim) == expected
-
-
-class TestStripThresholds:
-    def test_uniform_quarters(self):
-        mu = UniformBoxMeasure([0.0], [1.0])
-        out = strip_thresholds(mu, 0, 4)
-        assert out[0] == -math.inf and out[-1] == math.inf
-        assert np.allclose(out[1:-1], [0.25, 0.5, 0.75])
-
-    def test_atom_collapses_thresholds(self):
-        out = strip_thresholds(single_atom([0.0]), 0, 5)
-        assert np.all(out[1:-1] == 0.0)
-
-    def test_step_cdf_of_eight_points(self):
-        mu = AtomicMeasure(np.arange(1.0, 9.0).reshape(-1, 1))
-        out = strip_thresholds(mu, 0, 2)
-        assert out[1] == 4.0
-
-    def test_nondecreasing_for_random_clouds(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            mu = AtomicMeasure(rng.normal(size=(rng.integers(5, 200), 3)))
-            for axis in range(3):
-                out = strip_thresholds(mu, axis, int(rng.integers(2, 9)))
-                assert np.all(np.diff(out) >= 0)
-
-    def test_restriction_to_a_cell(self):
-        mu = UniformBoxMeasure([0.0], [1.0])
-        out = strip_thresholds(mu, 0, 2, cell=np.array([[0.0, 0.5]]))
-        assert out[1] == pytest.approx(0.25, abs=1e-9)
-        cloud = AtomicMeasure(np.arange(1.0, 9.0).reshape(-1, 1))
-        out = strip_thresholds(cloud, 0, 2, cell=np.array([[1.0, 4.0]]))
-        assert out[1] == 2.0  # step CDF of {1,2,3,4} reaches 1/2 at 2
 
 
 class TestPartition:
