@@ -20,6 +20,7 @@ from .energy import (
     EnergyValue,
     _canonical_order,
     _energy_stats,
+    _on_workers,
     _pair_pass,
     _potentials,
     continuum_energy_mc,
@@ -300,9 +301,10 @@ def bl_distance(a, b) -> float:
     In one dimension this is the exact truncated-W1 value min(W1, 2)
     computed from CDFs (it coincides with the bounded-Lipschitz distance
     for pairs of atoms and metrizes the same convergence).  In higher
-    dimension it is sliced: random unit directions, the exact 1-d value per
-    slice, averaged.  Measures enter through a deterministic equal-mass
-    discretization, so the estimate is reproducible.
+    dimension it is sliced: random unit directions drawn on the calling
+    thread, the exact 1-d value per slice on the worker_threads workers,
+    averaged in slice order.  Measures enter through a deterministic
+    equal-mass discretization, so the estimate is reproducible.
     """
     pts_a, w_a = _as_atoms(a)
     pts_b, w_b = _as_atoms(b)
@@ -312,11 +314,10 @@ def bl_distance(a, b) -> float:
     if dim == 1:
         return _w1_truncated_1d(pts_a[:, 0], w_a, pts_b[:, 0], w_b)
     rng = np.random.default_rng(0)
+    dirs = [u / np.linalg.norm(u) for u in (rng.normal(size=dim) for _ in range(_BL_SLICES))]
     total = 0.0
-    for _ in range(_BL_SLICES):
-        u = rng.normal(size=dim)
-        u /= np.linalg.norm(u)
-        total += _w1_truncated_1d(pts_a @ u, w_a, pts_b @ u, w_b)
+    for value in _on_workers(lambda u: _w1_truncated_1d(pts_a @ u, w_a, pts_b @ u, w_b), dirs):
+        total += value  # in slice order
     return total / _BL_SLICES
 
 

@@ -108,10 +108,10 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def worker_threads(count: int):
-    """Run the blocks of the pair passes made in the with-block on this
-    thread on ``count`` worker threads, at most one per core; results are
-    the same for any count.  The pool starts with the first call that has
-    two tasks or more: the blocks of a pass, or best-of-k's tuples."""
+    """Run the tasks of _on_workers calls made in the with-block on this thread on
+    ``count`` worker threads, at most one per core; results are the same for any count.
+    The pool starts with the first call that has two tasks or more: the blocks of a
+    pass (two per greedy-sweep chunk), best-of-k's tuples or bl_distance's slices."""
     count = min(count, os.cpu_count() or 1)
     pools = []
 
@@ -133,7 +133,8 @@ def worker_threads(count: int):
 
 def _on_workers(task, *args) -> list:
     """[task(*a) for a in zip(*args)] in order, on the worker_threads block's threads for two tasks
-    or more, each under the caller's np.errstate (a worker inherits neither it nor the pool)."""
+    or more (pass blocks, best-of-k tuples, BL slices), each under the caller's np.errstate (a
+    worker inherits neither it nor the pool)."""
     errstate, pool = np.geterr(), _POOL.get()
 
     def run(*a):
@@ -154,7 +155,10 @@ def _scratch(name: str, shape: tuple) -> np.ndarray:
 
 def _self_pairs(i: int, j: int, shape: tuple):
     """(rows, cols) in a one-family block of rows i, ... by cols j, ... of its pairs i == j."""
-    k = np.arange(max(i, j), min(i + shape[0], j + shape[1]))
+    lo, hi = max(i, j), min(i + shape[0], j + shape[1])
+    if lo >= hi:  # the row and col ranges do not overlap: no pairs, and no index arrays
+        return slice(0), slice(0)
+    k = np.arange(lo, hi)
     return k - i, k - j
 
 

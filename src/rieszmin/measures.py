@@ -204,11 +204,11 @@ class ProductRestriction(Restriction):
         return left, right, t
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        cols = []
-        for axis in range(self.dim):
-            lo, hi = self.u_rect[axis]
-            cols.append(self._q(axis, rng.uniform(lo, hi, size=count)))
-        return np.column_stack(cols)
+        u = rng.random((self.dim, count))  # per-axis rng.uniform's bits, lo + (hi - lo) u
+        out = np.empty((count, self.dim))
+        for axis, (lo, hi) in enumerate(self.u_rect.tolist()):
+            out[:, axis] = self._q(axis, lo + (hi - lo) * u[axis])
+        return out
 
     def mean_point(self) -> np.ndarray:
         nodes, weights = _gauss(32)

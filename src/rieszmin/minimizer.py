@@ -170,19 +170,23 @@ def _repair_points(points: np.ndarray, kernel: Kernel,
     return None
 
 
-def _initial_points(n: int, dim: int, settings: MinimizeSettings, restart: int,
-                    rng: np.random.Generator, kernel: Kernel) -> np.ndarray:
+def _start_base(n: int, dim: int, settings: MinimizeSettings, kernel: Kernel):
+    """The points every restart starts at or jitters, made once; None for gaussian clouds."""
     init = settings.init
     if init.kind == "random-gaussian":
-        return init.scale * rng.normal(size=(n, dim))
+        return None
     if init.kind == "quantizer-seeded":
-        base = quantize(init.measure, n, kernel, seed=settings.seed).config.points
-    else:
-        base = init.config.points
-        if base.shape != (n, dim):
-            raise ValidationError(
-                f"user start has shape {base.shape}, expected ({n}, {dim})"
-            )
+        return quantize(init.measure, n, kernel, seed=settings.seed).config.points
+    base = init.config.points
+    if base.shape != (n, dim):
+        raise ValidationError(f"user start has shape {base.shape}, expected ({n}, {dim})")
+    return base
+
+
+def _initial_points(n: int, dim: int, settings: MinimizeSettings, restart: int,
+                    rng: np.random.Generator, base: Optional[np.ndarray]) -> np.ndarray:
+    if base is None:
+        return settings.init.scale * rng.normal(size=(n, dim))
     if restart == 0:
         return np.array(base, copy=True)
     spread = max(float(np.linalg.norm(base - base.mean(axis=0), axis=1).max()), 1.0)
@@ -296,8 +300,9 @@ def minimize(kernel: Kernel, n: int, dim: int,
     best = None
     best_key = None
     completed = 0
+    base = _start_base(n, dim, settings, kernel)
     for restart in range(settings.restarts):
-        start = _initial_points(n, dim, settings, restart, streams[restart], kernel)
+        start = _initial_points(n, dim, settings, restart, streams[restart], base)
         outcome = _descend(start, kernel, settings, streams[restart])
         if outcome is None:
             continue

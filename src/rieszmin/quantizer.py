@@ -9,8 +9,9 @@ Representative selection goes beyond cell means when a kernel is supplied:
 best-of-k tuples drawn from the product of the cell measures, each tuple's
 pair pass run whole on one worker thread (energy.worker_threads), optionally
 followed by a greedy per-cell improvement sweep whose cells share one pair
-pass per chunk, with the normalized pair sum reported next to a Monte-Carlo
-estimate of its average so the selection quality can be asserted statistically.
+pass per chunk, two blocks that two workers compute side by side, with the
+normalized pair sum reported next to a Monte-Carlo estimate of its average
+so the selection quality can be asserted statistically.
 """
 
 from __future__ import annotations
@@ -180,18 +181,22 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     improvements = 0
     if strategy == "hybrid":
         ys = np.array([c.restriction.sample(1, stream)[0] for c, stream in zip(cells, streams)])
-        # cells per chunk: the most with 2 c (m + c) <= _BLOCK_ELEMENTS, so a chunk is one block
-        step = max(1, (math.isqrt(m * m + 2 * _BLOCK_ELEMENTS) - m) // 2)
+        # chunk cells: the most c with 2 c (m + c) <= 2 _BLOCK_ELEMENTS, two blocks for two workers
+        step = min(m, max(1, (math.isqrt(m * m + 4 * _BLOCK_ELEMENTS) - m) // 2))
+        grid, pair = np.empty((2 * step, m + step)), np.empty((2, m - 1))
+
+        def fill(d, i, j):  # a block's kernel values, into its rows of the chunk's grid
+            grid[i:i + len(d), :d.shape[1]] = kernel.radial(d)
+
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for s in range(0, m, step):
                 # rows best[i], ys[i] of the chunk's cells i; cols best, then their ys
                 chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, part.dim)
-                blocks = _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]),
-                                    lambda d, i, j: kernel.radial(d))
-                grid = blocks[0] if len(blocks) == 1 else np.vstack(blocks)  # for m > 32767
+                _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]), fill)
                 for i in range(s, s + len(chunk) // 2):
                     a = 2 * (i - s)  # cell i's rows; its own column goes, as potential_grid's
-                    old, new = np.delete(grid[a:a + 2, :m], i, axis=1).sum(axis=1)
+                    pair[:, :i], pair[:, i:] = grid[a:a + 2, :i], grid[a:a + 2, i + 1:m]
+                    old, new = pair.sum(axis=1)
                     delta = 2.0 * (new - old) / m**2
                     if math.isfinite(delta) and delta < 0.0:
                         best_points[i] = ys[i]

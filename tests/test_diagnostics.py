@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,11 @@ from rieszmin import (
     partial_energy,
     quantize,
 )
+from rieszmin import energy
 from rieszmin.diagnostics import (
+    _BL_SLICES,
+    _as_atoms,
+    _w1_truncated_1d,
     bl_distance,
     cluster_classify,
     el_residual,
@@ -146,6 +151,26 @@ class TestBLDistance:
         a = Configuration([[0.0]])
         b = Configuration([[100.0]])
         assert bl_distance(a, b) == 2.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_same_float_for_any_worker_count(self, dim):
+        """The slices run on the workers and add in slice order: the value is the
+        serial loop's over the directions drawn with seed 0, for 1, 2 and 3 workers."""
+        cfg = Configuration(np.random.default_rng(dim).normal(size=(300, dim)))
+        mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
+        (pa, wa), (pb, wb) = _as_atoms(cfg), _as_atoms(mu)
+        want = _w1_truncated_1d(pa[:, 0], wa, pb[:, 0], wb)
+        if dim > 1:
+            rng, want = np.random.default_rng(0), 0.0
+            for _ in range(_BL_SLICES):
+                u = rng.normal(size=dim)
+                u /= np.linalg.norm(u)
+                want += _w1_truncated_1d(pa @ u, wa, pb @ u, wb)
+            want /= _BL_SLICES
+        for count in (1, 2, 3):
+            with mock.patch.object(energy.os, "cpu_count", return_value=count), \
+                    energy.worker_threads(count):
+                assert bl_distance(cfg, mu) == want
 
     def test_quantizer_beats_coarser_quantizer(self):
         mu = UniformBoxMeasure([0.0], [1.0])

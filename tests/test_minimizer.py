@@ -88,6 +88,16 @@ class TestMinimize:
         res = minimize(k, 12, 2, settings)
         assert res.energy <= start_energy + 1e-12
 
+    def test_quantizer_seeded_restarts_share_one_quantization(self):
+        """Restart 0 starts at the quantized configuration and the others jitter
+        it; it is made once per minimize call, not once per restart."""
+        mu = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0])
+        settings = MinimizeSettings(restarts=4, seed=8, max_iters=20,
+                                    init=InitSpec(kind="quantizer-seeded", measure=mu))
+        with mock.patch.object(minimizer, "quantize", wraps=quantize) as spy:
+            res = minimize(PL2, 25, 2, settings)
+        assert spy.call_count == 1 and res.restarts_used == 4
+
     def test_singular_kernel_descends_without_collision(self):
         k = PowerLawKernel(-1, 2, dim=2)
         res = minimize(k, 5, 2, MinimizeSettings(restarts=4, seed=9, max_iters=800,

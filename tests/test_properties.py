@@ -8,7 +8,8 @@ schedule (row blocks, reach windows, tiles) hands its reducer the dense
 distances and meets each pair once, and the cluster classifier matches a
 dense single-linkage reference.
 Energy and gradient are translation invariant, partition cells of atom clouds
-carry exactly 1/l^dim, and the CLI reads a minimize block into the settings
+carry exactly 1/l^dim, a product cell samples with the bits of per-axis uniform
+draws, and the CLI reads a minimize block into the settings
 the dataclasses build from the same values.  The in-place kernel profiles give
 the bits of their plain numpy expressions, kept here as references."""
 
@@ -30,7 +31,9 @@ from rieszmin import (
     MinimizeSettings,
     MorseKernel,
     PowerLawKernel,
+    ProductQuantileMeasure,
     TruncatedKernel,
+    UniformBoxMeasure,
     discrete_energy,
     el_residual,
     gradient,
@@ -40,6 +43,7 @@ from rieszmin.cli import _minimize_settings
 from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify, support_diameter
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 from rieszmin.kernels import _FAST_POWERS
+from rieszmin.measures import ProductRestriction, _full_rect
 from rieszmin.quantizer import partition, side_count
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
@@ -513,6 +517,40 @@ def test_partition_cells_of_tied_atom_clouds_have_exact_masses(n, dim, atoms, le
         for axis, h in enumerate(cell.index):
             following = by_index.get(cell.index[:axis] + (h + 1,) + cell.index[axis + 1:])
             assert following is None or np.all(following.rect[axis] >= cell.rect[axis])
+
+
+def per_axis_sample(restriction, count, rng):
+    """ProductRestriction.sample's reference: a per-axis rng.uniform draw mapped
+    by that axis's quantile, the columns stacked."""
+    cols = []
+    for axis in range(restriction.dim):
+        lo, hi = restriction.u_rect[axis]
+        cols.append(restriction._q(axis, rng.uniform(lo, hi, size=count)))
+    return np.column_stack(cols)
+
+
+@SETTINGS
+@given(dim=st.integers(1, 3), count=st.sampled_from([1, 32]), seed=st.integers(0, 2**32 - 1),
+       ends=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=6, max_size=6),
+       marginal=st.sampled_from(["uniform", "exponential"]))
+@example(dim=3, count=32, seed=0, ends=[0.0, 0.5, 0.25, 0.75, 0.5, 0.999], marginal="exponential")
+def test_product_sample_is_the_per_axis_uniform_draw(dim, count, seed, ends, marginal):
+    """One draw for all axes gives the bytes of per-axis rng.uniform draws, and
+    leaves the generator where they leave it, for the uniform box's quantiles and
+    for an Exp(1) marginal, on any rectangle in CDF space."""
+    u_rect = np.sort(np.reshape(ends[:2 * dim], (dim, 2)), axis=1)
+    assume(np.all(u_rect[:, 0] < u_rect[:, 1]))
+    if marginal == "uniform":
+        mu = UniformBoxMeasure([-1.0, 0.0, 2.0][:dim], [0.5, 3.0, 2.25][:dim])
+    else:
+        mu = ProductQuantileMeasure([lambda u: -np.log1p(-u)] * dim)
+    cell = ProductRestriction(mu.quantiles, u_rect, _full_rect(dim), 1.0)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = cell.sample(count, got)
+    assert drawn.shape == (count, dim)
+    assert drawn.tobytes() == per_axis_sample(cell, count, want).tobytes()
+    assert got.random() == want.random()
+
 
 
 def whole(lo, hi):

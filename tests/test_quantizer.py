@@ -143,7 +143,7 @@ SWEEP_KERNELS = {
 
 
 class TestGreedySweep:
-    # m = 30, 25 and 27 cells; none is a multiple of the 4-cell chunks
+    # m = 30, 25 and 27 cells; none is a multiple of the 7-cell chunks
     @pytest.mark.parametrize("dim, n", [(1, 30), (2, 25), (3, 27)])
     @pytest.mark.parametrize("kernel", sorted(SWEEP_KERNELS))
     @pytest.mark.parametrize("chunks", ["one-short", "one-exact", "ragged", "ragged-row-blocks"])
@@ -177,12 +177,49 @@ class TestGreedySweep:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("dim, n", [(1, 30), (2, 25), (3, 27)])
+    @pytest.mark.parametrize("kernel", sorted(SWEEP_KERNELS))
+    def test_two_block_chunks_are_the_per_cell_sweep_bit_for_bit(self, dim, n, kernel):
+        """With one block size for the chunks and their passes, as outside tests, a
+        chunk of c cells, 2 c (m + c) <= 2 * 8 (m + 4) pairs, is 7 cells and, but for
+        the last, two row blocks of 7 probes, which the workers fill side by side; every
+        decision, and so every bit, is the per-cell sweep's, for 1, 2 and 3 workers."""
+        g = SWEEP_KERNELS[kernel](dim)
+        mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
+        m = partition(mu, n).cell_count
+        want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 4, 7)
+        real, blocks = quantizer._pair_pass, []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            blocks.append(len(out))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent thread switches, so that a race would show
+        try:
+            for count in (1, 2, 3):
+                blocks.clear()
+                with mock.patch.object(quantizer, "_BLOCK_ELEMENTS", 8 * (m + 4)), \
+                        mock.patch.object(energy, "_BLOCK_ELEMENTS", 8 * (m + 4)), \
+                        mock.patch.object(quantizer, "_pair_pass", counting), \
+                        mock.patch.object(energy.os, "cpu_count", return_value=count), \
+                        energy.worker_threads(count):
+                    part = select_representatives(partition(mu, n), g, "hybrid", k=4, seed=7)
+                sel = part.selection
+                assert part.representatives().tobytes() == want.tobytes()
+                assert sel.greedy_improvements == improvements
+                assert sel.achieved_G == achieved and sel.bound_estimate == bound
+                assert len(blocks) == -(-m // 7) and blocks[:m // 7] == [2] * (m // 7)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_one_pair_pass_per_chunk(self):
         """A hybrid selection makes k tuple passes, one pass per chunk of the sweep
-        and one final energy pass, not one pass per cell."""
+        and one final energy pass, not one pass per cell; a chunk is two blocks."""
         part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 1024)
         m, k = part.cell_count, 2
-        chunk = max(c for c in range(1, m + 1) if 2 * c * (m + c) <= energy._BLOCK_ELEMENTS)
+        chunk = max(c for c in range(1, m + 1) if 2 * c * (m + c) <= 2 * energy._BLOCK_ELEMENTS)
         real, passes = energy._pair_pass, []
 
         def counting(*args, **kwargs):
