@@ -71,7 +71,6 @@ from .diagnostics import (
     cluster_classify,
     el_residual,
     gamma_trace,
-    support_diameter,
 )
 
 __version__ = "0.1.0"

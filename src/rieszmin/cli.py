@@ -68,9 +68,9 @@ def _setup(args):
     seed = args.seed if args.seed is not None else config_number(config, "seed", int, DEFAULT_SEED)
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    out_dir = args.out or config.get("out", ".")
-    os.makedirs(out_dir, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
+    out_dir = args.out or (config_path(config, "out", base_dir) if "out" in config else ".")
+    os.makedirs(out_dir, exist_ok=True)
     return config, seed, out_dir, base_dir
 
 

@@ -321,12 +321,6 @@ def bl_distance(a, b) -> float:
     return total / _BL_SLICES
 
 
-def support_diameter(cfg: Configuration) -> float:
-    """Largest pairwise distance (0 for a single point)."""
-    blocks = _pair_pass(cfg.points, cfg.points, lambda d, i, j: d.max(initial=0.0))
-    return float(max(blocks, default=0.0))
-
-
 # ---------------------------------------------------------------------------
 # discrete-to-continuum trace
 # ---------------------------------------------------------------------------

@@ -77,14 +77,6 @@ class Kernel:
             )
         return float(self.radial_prime(r)) * v / r
 
-    def symmetrized(self) -> "Kernel":
-        """Central symmetrization (g(v) + g(-v))/2.
-
-        All built-in kernels are radial, hence already symmetric, and the
-        construction is the identity transformation.
-        """
-        return self
-
 
 def _positive(name: str, value: float) -> float:
     value = float(value)

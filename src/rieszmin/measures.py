@@ -1,6 +1,7 @@
-"""Target probability measures with the two queries the quantizer needs:
-splitting a rectangle restriction at a mass fraction along an axis, and
-rectangle-restricted sampling.
+"""Target probability measures with the three queries the quantizer needs:
+splitting a rectangle restriction at a mass fraction along an axis,
+rectangle-restricted sampling, and the restriction's mean (clipped into
+the cell, the representative of conditional-mean selection).
 
 Two exact backends cover everything:
 
@@ -94,19 +95,8 @@ class Restriction(abc.ABC):
 
     @abc.abstractmethod
     def mean_point(self) -> np.ndarray:
-        ...
-
-    @abc.abstractmethod
-    def median_point(self) -> np.ndarray:
-        ...
-
-    def representative(self) -> np.ndarray:
-        """Conditional mean with a per-axis median fallback when the mean
-        is not finite (heavy tails on unbounded cells)."""
-        point = self.mean_point()
-        if np.all(np.isfinite(point)):
-            return point
-        return self.median_point()
+        """The restriction's mean, finite on every cell: product restrictions take
+        it by a Gauss rule whose nodes lie strictly inside the CDF interval."""
 
     def _split_rects(self, axis: int, t: float):
         """The rect cut at t along an axis: (left rect, right rect)."""
@@ -172,9 +162,6 @@ class AtomicRestriction(Restriction):
     def mean_point(self) -> np.ndarray:
         return (self.weights @ self.points) / self.weights.sum()
 
-    def median_point(self) -> np.ndarray:
-        return np.array([self.axis_threshold(axis, 0.5) for axis in range(self.dim)])
-
 
 class ProductRestriction(Restriction):
     """Restriction of a product-of-quantile-functions measure, tracked as a
@@ -218,12 +205,6 @@ class ProductRestriction(Restriction):
             u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
             out[axis] = 0.5 * float(weights @ self._q(axis, u))
         return out
-
-    def median_point(self) -> np.ndarray:
-        return np.array([
-            float(self._q(axis, 0.5 * (self.u_rect[axis, 0] + self.u_rect[axis, 1])))
-            for axis in range(self.dim)
-        ])
 
 
 # ---------------------------------------------------------------------------

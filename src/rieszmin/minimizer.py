@@ -209,8 +209,7 @@ def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
     return -q
 
 
-def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings,
-             rng: np.random.Generator):
+def _descend(points: np.ndarray, kernel: Kernel, settings: MinimizeSettings):
     """One L-BFGS run; returns (points, energy, gnorm, iters, converged,
     history, repair deltas) or None when the run broke down."""
     history: List[Tuple[float, float]] = []
@@ -298,19 +297,15 @@ def minimize(kernel: Kernel, n: int, dim: int,
     rng = np.random.default_rng(settings.seed)
     streams = rng.spawn(settings.restarts)
     best = None
-    best_key = None
     completed = 0
     base = _start_base(n, dim, settings, kernel)
     for restart in range(settings.restarts):
         start = _initial_points(n, dim, settings, restart, streams[restart], base)
-        outcome = _descend(start, kernel, settings, streams[restart])
+        outcome = _descend(start, kernel, settings)
         if outcome is None:
             continue
         completed += 1
-        _, energy, gnorm, _, _, _, _ = outcome
-        key = (energy, gnorm, restart)
-        if best_key is None or key < best_key:
-            best_key = key
+        if best is None or outcome[1:3] < best[1:3]:  # (energy, gnorm); a tie keeps the earlier
             best = outcome
     if best is None:
         raise OptimizationError(

@@ -5,7 +5,7 @@ The construction splits space into l^dim closed rectangles of equal mass
 representative per cell, and keeps the first n cells in lexicographic order
 of their split indices, dropping the last l^dim - n.
 
-Representative selection goes beyond cell means when a kernel is supplied:
+Representative selection goes beyond the clipped cell mean with a kernel:
 best-of-k tuples drawn from the product of the cell measures, each tuple's
 pair pass run whole on one worker thread (energy.worker_threads), optionally
 followed by a greedy per-cell improvement sweep whose cells share one pair
@@ -53,8 +53,6 @@ class PartitionCell:
 
 @dataclass
 class SelectionInfo:
-    strategy: str
-    draws: int
     achieved_G: float
     bound_estimate: Optional[float]
     bound_stderr: Optional[float]
@@ -68,17 +66,12 @@ class MassPartition:
 
     cells: List[PartitionCell]
     split_count: int
-    requested_n: int
     dim: int
     selection: Optional[SelectionInfo] = None
 
     @property
     def cell_count(self) -> int:
         return len(self.cells)
-
-    @property
-    def dropped(self) -> int:
-        return self.cell_count - self.requested_n
 
     def representatives(self) -> np.ndarray:
         if any(c.representative is None for c in self.cells):
@@ -114,7 +107,7 @@ def partition(mu: TargetMeasure, n: int) -> MassPartition:
                                            restriction=remainder,
                                            index=cell.index + (l - 1,)))
         cells = new_cells
-    return MassPartition(cells=cells, split_count=l, requested_n=n, dim=dim)
+    return MassPartition(cells=cells, split_count=l, dim=dim)
 
 
 def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
@@ -122,7 +115,8 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                            seed: int = 0) -> MassPartition:
     """Fill in one representative per cell (in place; also returned).
 
-    conditional-mean: the cell mean, median fallback on heavy tails.
+    conditional-mean: the cell mean (for products of quantile functions, the
+    Gauss-rule mean), clipped into the closed cell.
     best-of-k: k tuples from the product of the cell measures, keep the one
     with the lowest normalized pair sum.
     hybrid: best-of-k plus one greedy sweep that re-draws single cells and
@@ -142,12 +136,12 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
 
     if strategy == "conditional-mean" or m == 1:
         for cell in cells:
-            rep = np.clip(cell.restriction.representative(), cell.rect[:, 0], cell.rect[:, 1])
+            rep = np.clip(cell.restriction.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
             cell.representative = rep
         achieved = (_energy_stats(part.representatives(), kernel)[0]
                     if kernel is not None and m > 1 else 0.0)
-        part.selection = SelectionInfo(strategy=strategy, draws=0, achieved_G=achieved,
-                                       bound_estimate=None, bound_stderr=None)
+        part.selection = SelectionInfo(achieved_G=achieved, bound_estimate=None,
+                                       bound_stderr=None)
         return part
 
     rng = np.random.default_rng(seed)
@@ -206,7 +200,7 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
 
     for cell, rep in zip(cells, best_points):
         cell.representative = rep
-    part.selection = SelectionInfo(strategy=strategy, draws=k, achieved_G=best_value,
+    part.selection = SelectionInfo(achieved_G=best_value,
                                    bound_estimate=bound_estimate,
                                    bound_stderr=bound_stderr,
                                    greedy_improvements=improvements)
@@ -245,7 +239,7 @@ def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,
     return QuantizeResult(
         config=Configuration(reps),
         split_count=part.split_count,
-        dropped=part.dropped,
+        dropped=part.cell_count - n,
         achieved_G=sel.achieved_G,
         bound_estimate=sel.bound_estimate,
         bound_stderr=sel.bound_stderr,

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from rieszmin import minimizer
 from rieszmin.cli import _minimize_settings, _settings, main
 from rieszmin.diagnostics import cluster_classify, gamma_trace
 from rieszmin.energy import load_configuration_csv
@@ -103,6 +105,14 @@ class TestMinimize:
         assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
         payload = result_payload(out / "minimize.json")
         assert abs(payload["energy"] - (-0.25)) < 1e-9
+
+    def test_all_restarts_failing_exits_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=5)
+        with mock.patch.object(minimizer, "_descend", lambda *args: None):
+            assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "all 4 restarts" in err
 
     def test_invalid_kernel_parameters_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, kernel={"variant": "morse", "c1": -1.0, "c2": 1.0,
@@ -530,6 +540,22 @@ class TestInputFiles:
         monkeypatch.chdir(tmp_path)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert result_payload(tmp_path / "out" / "diagnose.json")["support_diameter"] == 1.0
+
+    def test_out_that_is_not_a_string_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, out=3)
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-kernel", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'out'" in err
+
+    def test_out_key_is_relative_to_the_config(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        run.mkdir()
+        cfg = write_config(run, out="res")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-kernel", "--config", cfg]) == 0
+        assert (run / "res" / "assumptions.json").exists()
+        assert not (tmp_path / "res").exists()
 
 
 class TestOutOfRange:

@@ -25,7 +25,6 @@ from rieszmin.diagnostics import (
     cluster_classify,
     el_residual,
     gamma_trace,
-    support_diameter,
 )
 from rieszmin.minimizer import MinimizeSettings, minimize
 
@@ -208,14 +207,16 @@ class TestBLDistance:
 
 
 class TestSupportDiameter:
+    """The diameter diagnose reports, from el_residual's energy pass."""
+
     def test_trivial_cases(self):
-        assert support_diameter(Configuration([[5.0, 5.0]])) == 0.0
-        assert support_diameter(Configuration([[0.0, 0.0], [1.0, 0.0]])) == 1.0
+        assert el_residual(Configuration([[5.0, 5.0]]), PL2).diameter == 0.0
+        assert el_residual(Configuration([[0.0, 0.0], [1.0, 0.0]]), PL2).diameter == 1.0
 
     def test_equilateral_triangle(self):
         s = 0.7
         pts = [[0.0, 0.0], [s, 0.0], [s / 2, s * math.sqrt(3) / 2]]
-        assert support_diameter(Configuration(pts)) == pytest.approx(s)
+        assert el_residual(Configuration(pts), PL2).diameter == pytest.approx(s)
 
 
 class TestGammaTrace:

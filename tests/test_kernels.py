@@ -79,22 +79,13 @@ class TestEvaluate:
             PowerLawKernel(1, 2, dim=3),
             MorseKernel(4, 1, 0.5, 2, dim=3),
             TruncatedKernel(PowerLawKernel(-1, 2, dim=3), 5.0),
+            TabulatedKernel(radii=(0.0, 1.0, 2.0, 4.0), values=(3.0, 1.0, 0.5, 0.2), dim=3),
         ]
         rng = np.random.default_rng(1)
         for k in kernels:
             for _ in range(50):
                 v = rng.normal(size=3)
                 assert k.evaluate(v) == k.evaluate(-v)
-
-    def test_symmetrize_is_identity_for_radial_kernels(self):
-        k = PowerLawKernel(1, 2, dim=2)
-        ks = k.symmetrized()
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = rng.normal(size=2)
-            assert ks.evaluate(v) == ks.evaluate(-v)
-        tab = TabulatedKernel(radii=(0.0, 1.0, 2.0), values=(3.0, 1.0, 0.5), dim=2)
-        assert tab.symmetrized() is tab
 
 
 class TestGradient:

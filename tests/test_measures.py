@@ -70,7 +70,7 @@ class TestUniformBox:
         left, right, t = root.split_fraction(0, 0.5)
         assert t == pytest.approx(0.5)
         assert left.mean_point()[0] == pytest.approx(0.25, abs=1e-12)
-        assert right.median_point()[0] == pytest.approx(0.75, abs=1e-12)
+        assert right.mean_point()[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,10 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from rieszmin import (
     Configuration,
     MorseKernel,
+    OptimizationError,
     PowerLawKernel,
     TabulatedKernel,
     TruncatedKernel,
@@ -15,7 +17,6 @@ from rieszmin import (
     quantize,
 )
 from rieszmin import minimizer
-from rieszmin.diagnostics import support_diameter
 from rieszmin.minimizer import (
     InitSpec,
     MinimizeSettings,
@@ -98,6 +99,23 @@ class TestMinimize:
             res = minimize(PL2, 25, 2, settings)
         assert spy.call_count == 1 and res.restarts_used == 4
 
+    def test_all_restarts_failing_raises(self):
+        with mock.patch.object(minimizer, "_descend", lambda *args: None):
+            with pytest.raises(OptimizationError, match="all 3 restarts"):
+                minimize(PL2, 5, 2, MinimizeSettings(restarts=3, seed=1))
+
+    @pytest.mark.parametrize("keys, winner", [
+        (((1.0, 0.5), (1.0, 0.5), (2.0, 0.1)), 0),  # a tie keeps the earlier restart
+        (((1.0, 0.5), (1.0, 0.4), (0.5, 0.9)), 2),  # the least energy wins
+        (((1.0, 0.5), (1.0, 0.4), (1.0, 0.4)), 1),  # then the least gradient norm
+    ])
+    def test_winner_is_the_least_energy_then_gradient_norm(self, keys, winner):
+        # the restart index rides in the iteration count of each stand-in run
+        runs = iter([(np.zeros((3, 2)), e, g, r, True, [], []) for r, (e, g) in enumerate(keys)])
+        with mock.patch.object(minimizer, "_descend", lambda *args: next(runs)):
+            res = minimize(PL2, 3, 2, MinimizeSettings(restarts=3))
+        assert res.iterations == winner and res.grad_norm == keys[winner][1]
+
     def test_singular_kernel_descends_without_collision(self):
         k = PowerLawKernel(-1, 2, dim=2)
         res = minimize(k, 5, 2, MinimizeSettings(restarts=4, seed=9, max_iters=800,
@@ -120,7 +138,7 @@ class TestMinimize:
     def test_result_diameter_is_the_support_diameter(self, n, kernel):
         """The final energy pass's diameter, which energy_trace reads."""
         res = minimize(kernel, n, 2, MinimizeSettings(restarts=2, seed=3, max_iters=100))
-        assert res.diameter == support_diameter(res.config)
+        assert res.diameter == pdist(res.config.points).max(initial=0.0)
 
 
 class TestSearchDirection:
@@ -159,10 +177,10 @@ class TestSearchDirection:
         assert float((grad * _lbfgs_direction(grad, uphill)).sum()) > 0
         start = rng.normal(size=(7, 2))
         settings = MinimizeSettings(max_iters=1, repair=False)
-        steepest = _descend(start, PL2, settings, None)
+        steepest = _descend(start, PL2, settings)
         with mock.patch.object(minimizer, "_lbfgs_direction",
                                lambda g, memory: _lbfgs_direction(g, uphill)):
-            fallback = _descend(start, PL2, settings, None)
+            fallback = _descend(start, PL2, settings)
         assert not np.array_equal(steepest[0], start)
         assert np.array_equal(fallback[0], steepest[0])
         assert fallback[1] == steepest[1]

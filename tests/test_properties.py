@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from rieszmin import (
     AtomicMeasure,
@@ -40,7 +41,7 @@ from rieszmin import (
 )
 from rieszmin import energy
 from rieszmin.cli import _minimize_settings
-from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify, support_diameter
+from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 from rieszmin.kernels import _FAST_POWERS
 from rieszmin.measures import ProductRestriction, _full_rect
@@ -103,8 +104,8 @@ def test_mean_potential_is_the_energy_exactly(n, dim, seed, ties, kernel):
     el = el_residual(cfg, k)
     assert el.mean_potential == discrete_energy(cfg, k).value
     assert el.energy == discrete_energy(cfg, k)
-    assert el.diameter == support_diameter(cfg)
-    assert support_diameter(cfg) == energy._energy_stats(cfg.points, k)[2]
+    assert el.diameter == pdist(cfg.points).max(initial=0.0)
+    assert el.diameter == energy._energy_stats(cfg.points, k)[2]
 
 
 @SETTINGS

@@ -10,6 +10,7 @@ from rieszmin import (
     Configuration,
     MorseKernel,
     PowerLawKernel,
+    ProductQuantileMeasure,
     TabulatedKernel,
     UniformBoxMeasure,
     ValidationError,
@@ -245,6 +246,20 @@ class TestQuantize:
         assert result.split_count == 4
         assert result.dropped == 16 - 10
         assert result.config.n == 10
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_conditional_mean_is_finite_on_heavy_tails(self, n):
+        """Cauchy end cells are half-lines on which the mean does not exist;
+        the Gauss-rule mean is finite there, and clipped into the cell."""
+        mu = ProductQuantileMeasure([lambda u: np.tan(np.pi * (u - 0.5))])
+        points = quantize(mu, n, strategy="conditional-mean").config.points
+        cells = partition(mu, n).cells
+        assert cells[0].rect[0, 0] == -math.inf and cells[-1].rect[0, 1] == math.inf
+        assert np.all(np.isfinite(points))
+        for point, cell in zip(points, cells):
+            lo, hi = cell.rect[:, 0], cell.rect[:, 1]
+            assert np.all(lo <= point) and np.all(point <= hi)
+            assert np.array_equal(point, np.clip(cell.restriction.mean_point(), lo, hi))
 
     def test_point_mass_quantizes_to_copies(self):
         result = quantize(single_atom([2.0, -1.0]), 7, strategy="conditional-mean")
