@@ -70,7 +70,10 @@ def _setup(args):
         raise UsageError(f"seed must be non-negative, got {seed}")
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out or (config_path(config, "out", base_dir) if "out" in config else ".")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     return config, seed, out_dir, base_dir
 
 

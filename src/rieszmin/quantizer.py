@@ -1,7 +1,8 @@
 """Quantization of a probability measure into an n-point configuration.
 
 The construction splits space into l^dim closed rectangles of equal mass
-(l = ceil(n^(1/dim))) by recursive axis-by-axis quantile strips, picks one
+(l = ceil(n^(1/dim))) by recursive axis-by-axis quantile strips; the cells
+are the measure's restrictions to those rectangles.  It picks one
 representative per cell, and keeps the first n cells in lexicographic order
 of their split indices, dropping the last l^dim - n.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -43,40 +44,29 @@ def side_count(n: int, dim: int) -> int:
 
 
 @dataclass
-class PartitionCell:
-    rect: np.ndarray
-    mass: float
-    restriction: Restriction
-    index: Tuple[int, ...]
-    representative: Optional[np.ndarray] = None
-
-
-@dataclass
 class SelectionInfo:
     achieved_G: float
-    bound_estimate: Optional[float]
-    bound_stderr: Optional[float]
+    bound_estimate: Optional[float] = None
+    bound_stderr: Optional[float] = None
     greedy_improvements: int = 0
 
 
 @dataclass
 class MassPartition:
-    """The l^dim equal-mass closed rectangles of the measure, cells ordered
-    lexicographically by their per-axis split indices."""
+    """The measure's restrictions to its l^dim equal-mass closed rectangles, in
+    row-major order of their split indices: cell i's are np.unravel_index(i,
+    (l,) * dim).  ``points`` holds their (m, dim) representatives once selected."""
 
-    cells: List[PartitionCell]
+    cells: List[Restriction]
     split_count: int
     dim: int
+    points: Optional[np.ndarray] = None
     selection: Optional[SelectionInfo] = None
 
-    @property
-    def cell_count(self) -> int:
-        return len(self.cells)
-
     def representatives(self) -> np.ndarray:
-        if any(c.representative is None for c in self.cells):
+        if self.points is None:
             raise ValidationError("representatives not selected yet")
-        return np.vstack([c.representative for c in self.cells])
+        return self.points
 
 
 def partition(mu: TargetMeasure, n: int) -> MassPartition:
@@ -89,23 +79,15 @@ def partition(mu: TargetMeasure, n: int) -> MassPartition:
         raise ValidationError("n must be >= 1")
     dim = mu.dim
     l = side_count(n, dim)
-    cells = [PartitionCell(rect=mu.root_restriction().rect,
-                           mass=1.0,
-                           restriction=mu.root_restriction(),
-                           index=())]
+    cells = [mu.root_restriction()]
     for axis in range(dim):
-        new_cells: List[PartitionCell] = []
-        for cell in cells:
-            remainder = cell.restriction
+        new_cells: List[Restriction] = []
+        for remainder in cells:
             for h in range(l - 1):
                 fraction = 1.0 / (l - h)
                 left, remainder, _ = remainder.split_fraction(axis, fraction)
-                new_cells.append(PartitionCell(rect=left.rect, mass=left.mass,
-                                               restriction=left,
-                                               index=cell.index + (h,)))
-            new_cells.append(PartitionCell(rect=remainder.rect, mass=remainder.mass,
-                                           restriction=remainder,
-                                           index=cell.index + (l - 1,)))
+                new_cells.append(left)
+            new_cells.append(remainder)
         cells = new_cells
     return MassPartition(cells=cells, split_count=l, dim=dim)
 
@@ -113,7 +95,7 @@ def partition(mu: TargetMeasure, n: int) -> MassPartition:
 def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                            strategy: str = "hybrid", k: int = 32,
                            seed: int = 0) -> MassPartition:
-    """Fill in one representative per cell (in place; also returned).
+    """Fill in part.points, one representative per cell (in place; also returned).
 
     conditional-mean: the cell mean (for products of quantile functions, the
     Gauss-rule mean), clipped into the closed cell.
@@ -135,26 +117,22 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     m = len(cells)
 
     if strategy == "conditional-mean" or m == 1:
-        for cell in cells:
-            rep = np.clip(cell.restriction.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
-            cell.representative = rep
-        achieved = (_energy_stats(part.representatives(), kernel)[0]
+        part.points = np.array([np.clip(cell.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
+                                for cell in cells])
+        achieved = (_energy_stats(part.points, kernel)[0]
                     if kernel is not None and m > 1 else 0.0)
-        part.selection = SelectionInfo(achieved_G=achieved, bound_estimate=None,
-                                       bound_stderr=None)
+        part.selection = SelectionInfo(achieved_G=achieved)
         return part
 
     rng = np.random.default_rng(seed)
     streams = rng.spawn(m)
 
-    finite_values: List[float] = []
     for _ in range(k):
         draws = np.empty((k, m, part.dim))
         for i, cell in enumerate(cells):
-            draws[:, i, :] = cell.restriction.sample(k, streams[i])
+            draws[:, i, :] = cell.sample(k, streams[i])
         values = np.array(_on_workers(lambda points: _energy_stats(points, kernel)[0], draws))
         finite = np.isfinite(values)
-        finite_values.extend(values[finite].tolist())
         if np.any(finite):
             break
         # all k tuples hit +inf (coincident draws under a singular kernel):
@@ -168,13 +146,14 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     best_value = float(values[j])
     best_points = draws[j].copy()
 
-    bound_estimate = float(np.mean(finite_values)) if finite_values else None
+    finite_values = values[finite]
+    bound_estimate = float(np.mean(finite_values))
     bound_stderr = (float(np.std(finite_values, ddof=1) / math.sqrt(len(finite_values)))
                     if len(finite_values) > 1 else 0.0)
 
     improvements = 0
     if strategy == "hybrid":
-        ys = np.array([c.restriction.sample(1, stream)[0] for c, stream in zip(cells, streams)])
+        ys = np.array([c.sample(1, stream)[0] for c, stream in zip(cells, streams)])
         # chunk cells: the most c with 2 c (m + c) <= 2 _BLOCK_ELEMENTS, two blocks for two workers
         step = min(m, max(1, (math.isqrt(m * m + 4 * _BLOCK_ELEMENTS) - m) // 2))
         grid, pair = np.empty((2 * step, m + step)), np.empty((2, m - 1))
@@ -198,8 +177,7 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                         grid[a + 2:, i] = grid[a + 2:, m - s + i]  # later cells see the move
         best_value = _energy_stats(best_points, kernel)[0]
 
-    for cell, rep in zip(cells, best_points):
-        cell.representative = rep
+    part.points = best_points
     part.selection = SelectionInfo(achieved_G=best_value,
                                    bound_estimate=bound_estimate,
                                    bound_stderr=bound_stderr,
@@ -212,17 +190,15 @@ class QuantizeResult:
     config: Configuration
     split_count: int
     dropped: int
-    achieved_G: float
-    bound_estimate: Optional[float]
-    bound_stderr: Optional[float]
+    selection: SelectionInfo
 
     def sidecar(self) -> dict:
         return {
             "l": self.split_count,
             "dropped": self.dropped,
-            "achieved_G": self.achieved_G,
-            "bound_estimate": self.bound_estimate,
-            "bound_stderr": self.bound_stderr,
+            "achieved_G": self.selection.achieved_G,
+            "bound_estimate": self.selection.bound_estimate,
+            "bound_stderr": self.selection.bound_stderr,
         }
 
 
@@ -234,13 +210,9 @@ def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,
         strategy = "conditional-mean"
     part = partition(mu, n)
     select_representatives(part, kernel, strategy=strategy, k=k, seed=seed)
-    reps = part.representatives()[:n]
-    sel = part.selection
     return QuantizeResult(
-        config=Configuration(reps),
+        config=Configuration(part.representatives()[:n]),
         split_count=part.split_count,
-        dropped=part.cell_count - n,
-        achieved_G=sel.achieved_G,
-        bound_estimate=sel.bound_estimate,
-        bound_stderr=sel.bound_stderr,
+        dropped=len(part.cells) - n,
+        selection=part.selection,
     )

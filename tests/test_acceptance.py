@@ -199,9 +199,9 @@ def test_08_quantizer_mass_and_containment():
         for cell in part.cells:
             assert abs(cell.mass - expected) <= 1e-9
         select_representatives(part, kernel2, strategy="hybrid", k=16, seed=88)
-        for cell in part.cells:
-            assert np.all(cell.representative >= cell.rect[:, 0])
-            assert np.all(cell.representative <= cell.rect[:, 1])
+        for cell, point in zip(part.cells, part.representatives()):
+            assert np.all(point >= cell.rect[:, 0])
+            assert np.all(point <= cell.rect[:, 1])
         first = quantize(mu, n, kernel2, seed=99)
         second = quantize(mu, n, kernel2, seed=99)
         assert first.config.n == n

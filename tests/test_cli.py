@@ -90,6 +90,16 @@ class TestQuantize:
         assert payload["l"] == 4
         assert payload["dropped"] == 16 - 10
 
+    def test_selection_giving_up_exits_three(self, tmp_path, capsys):
+        corners = [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]]
+        cfg = write_config(tmp_path, n=9,
+                           kernel={"variant": "power_law", "alpha": -0.5, "beta": 2, "dim": 2},
+                           measure={"type": "atoms", "positions": corners, "weights": [0.2] * 5})
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "numerical failure: representative selection failed: 32 rounds of 32 tuples ")
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -548,6 +558,19 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "'out'" in err
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_out_that_cannot_be_made_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                      out, where):
+        """An output directory that is a file, or lies under one, is an error: line."""
+        (tmp_path / "afile").write_text("not a directory\n")
+        cfg = write_config(tmp_path, **({"out": out} if where == "config" else {}))
+        monkeypatch.chdir(tmp_path)
+        args = ["--out", out] if where == "flag" else []
+        assert main(["check-kernel", "--config", cfg, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and out in err
+
     def test_out_key_is_relative_to_the_config(self, tmp_path, monkeypatch):
         run = tmp_path / "run"
         run.mkdir()
@@ -631,6 +654,18 @@ class TestReadmeConfig:
             ("diagnostics", cluster_classify, ("gap_factor",)),
         ]:
             assert _settings(config[key], key, of, names) == config[key]
+
+
+class TestReadmeQuickStart:
+    def test_quick_start_runs_as_written(self):
+        """The README's library quick start runs as written and prints what its comments
+        say, so a renamed function or result field cannot leave the README broken."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        code = text.split("## Library quick start")[1].split("```python")[1].split("```")[0]
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        assert abs(scope["result"].energy + 0.25) <= 1e-9
+        assert scope["q"].dropped == 0
 
 
 class TestSeed:

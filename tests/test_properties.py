@@ -510,13 +510,16 @@ def test_partition_cells_of_tied_atom_clouds_have_exact_masses(n, dim, atoms, le
     pts = rng.integers(0, levels, size=(atoms, dim)).astype(float)
     weights = rng.uniform(0.1, 1.0, size=atoms)
     part = partition(AtomicMeasure(pts, weights / weights.sum()), n)
-    target = 1.0 / side_count(n, dim) ** dim
-    by_index = {cell.index: cell for cell in part.cells}
-    for cell in part.cells:
+    l = side_count(n, dim)
+    target = 1.0 / l ** dim
+    assert len(part.cells) == l ** dim
+    # the cells come in row-major order of their split indices
+    by_index = dict(zip(itertools.product(range(l), repeat=dim), part.cells))
+    for index, cell in by_index.items():
         assert abs(cell.mass - target) <= 1e-12
-        assert abs(cell.restriction.weights.sum() - target) <= 1e-12
-        for axis, h in enumerate(cell.index):
-            following = by_index.get(cell.index[:axis] + (h + 1,) + cell.index[axis + 1:])
+        assert abs(cell.weights.sum() - target) <= 1e-12
+        for axis, h in enumerate(index):
+            following = by_index.get(index[:axis] + (h + 1,) + index[axis + 1:])
             assert following is None or np.all(following.rect[axis] >= cell.rect[axis])
 
 

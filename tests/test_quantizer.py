@@ -11,6 +11,7 @@ from rieszmin import (
     MorseKernel,
     PowerLawKernel,
     ProductQuantileMeasure,
+    QuantizeError,
     TabulatedKernel,
     UniformBoxMeasure,
     ValidationError,
@@ -40,8 +41,10 @@ class TestPartition:
     def test_uniform_square_quarters(self):
         part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 4)
         assert part.split_count == 2
-        assert part.cell_count == 4
-        assert [c.index for c in part.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert len(part.cells) == 4
+        # row-major split indices (0, 0), (0, 1), (1, 0), (1, 1), read off the lower corners
+        lower = [tuple(c.rect[:, 0]) for c in part.cells]
+        assert lower == [(-math.inf, -math.inf), (-math.inf, 0.5), (0.5, -math.inf), (0.5, 0.5)]
         for cell in part.cells:
             assert cell.mass == pytest.approx(0.25, abs=1e-12)
         # interior thresholds at 0.5 on both axes
@@ -50,7 +53,7 @@ class TestPartition:
 
     def test_single_cell_covers_everything(self):
         part = partition(UniformBoxMeasure([0.0], [1.0]), 1)
-        assert part.cell_count == 1
+        assert len(part.cells) == 1
         assert part.cells[0].mass == 1.0
         assert part.cells[0].rect[0, 0] == -math.inf
         assert part.cells[0].rect[0, 1] == math.inf
@@ -64,7 +67,7 @@ class TestPartition:
         assert np.max(np.abs(masses - 1.0 / 9.0)) <= 1e-9
         # the restriction weights back the bookkept mass
         for cell in part.cells:
-            assert cell.restriction.weights.sum() == pytest.approx(cell.mass, abs=1e-12)
+            assert cell.weights.sum() == pytest.approx(cell.mass, abs=1e-12)
 
     def test_atom_heavy_cloud_splits_fractionally(self):
         # half the mass sits on a single repeated location
@@ -79,7 +82,7 @@ class TestSelectRepresentatives:
     def test_single_cell_mean(self):
         part = partition(UniformBoxMeasure([0.0], [1.0]), 1)
         select_representatives(part, PL1, strategy="conditional-mean")
-        assert part.cells[0].representative[0] == pytest.approx(0.5, abs=1e-12)
+        assert part.representatives()[0][0] == pytest.approx(0.5, abs=1e-12)
         assert part.selection.achieved_G == 0.0
 
     def test_conditional_means_of_uniform_quarters(self):
@@ -103,9 +106,46 @@ class TestSelectRepresentatives:
         for strategy in ("conditional-mean", "best-of-k", "hybrid"):
             part = partition(mu, 25)
             select_representatives(part, k2, strategy=strategy, k=8, seed=5)
-            for cell in part.cells:
-                assert np.all(cell.representative >= cell.rect[:, 0])
-                assert np.all(cell.representative <= cell.rect[:, 1])
+            for cell, point in zip(part.cells, part.representatives()):
+                assert np.all(point >= cell.rect[:, 0])
+                assert np.all(point <= cell.rect[:, 1])
+
+    def test_a_round_of_infinite_tuples_is_drawn_again(self):
+        """When every tuple of a round has a non-finite pair sum, best-of-k draws a
+        second round from the same streams and selects from it alone: the bound is
+        the mean and standard error of that round's k values."""
+        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
+        k, seed = 4, 9
+        real, calls = quantizer._energy_stats, []
+
+        def first_round_infinite(points, kern):
+            calls.append((points.copy(), real(points, kern)[0]))
+            return (math.inf,) * 3 if len(calls) <= k else real(points, kern)
+
+        part = partition(mu, 16)
+        with mock.patch.object(quantizer, "_energy_stats", first_round_infinite):
+            sel = select_representatives(part, kernel, "best-of-k", k=k, seed=seed).selection
+        assert len(calls) == 2 * k
+        streams = np.random.default_rng(seed).spawn(len(part.cells))
+        second = np.empty((k, len(part.cells), 2))
+        for i, (cell, stream) in enumerate(zip(part.cells, streams)):
+            cell.sample(k, stream)  # round one's draws
+            second[:, i] = cell.sample(k, stream)
+        assert all(np.array_equal(points, want) for (points, _), want in zip(calls[k:], second))
+        values = np.array([value for _, value in calls[k:]])
+        j = int(np.argmin(values))
+        assert part.representatives().tobytes() == second[j].tobytes()
+        assert sel.achieved_G == values[j]
+        assert sel.bound_estimate == float(np.mean(values))
+        assert sel.bound_stderr == float(np.std(values, ddof=1) / math.sqrt(k))
+
+    def test_selection_gives_up_after_k_rounds(self):
+        """Five atoms cannot hold nine cells' draws apart: under a singular kernel every
+        tuple has coincident points, and best-of-k gives up after k rounds of k."""
+        corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
+        mu = AtomicMeasure(np.array(corners), np.full(5, 0.2))
+        with pytest.raises(QuantizeError, match="32 rounds of 32 tuples"):
+            quantize(mu, 9, PowerLawKernel(-0.5, 2, dim=2))
 
     def test_unknown_strategy_rejected(self):
         part = partition(UniformBoxMeasure([0.0], [1.0]), 2)
@@ -123,8 +163,8 @@ def reference_hybrid(part, kernel, k, seed):
     streams = np.random.default_rng(seed).spawn(m)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, (cell, stream) in enumerate(zip(part.cells, streams)):
-            cell.restriction.sample(k, stream)
-            y = cell.restriction.sample(1, stream)[0]
+            cell.sample(k, stream)
+            y = cell.sample(1, stream)[0]
             old, new = potential_grid(np.delete(best, i, axis=0), 1.0, kernel,
                                       np.stack([best[i], y]))
             delta = 2.0 * (new - old) / m**2
@@ -156,7 +196,7 @@ class TestGreedySweep:
         one probe in the last case)."""
         g = SWEEP_KERNELS[kernel](dim)
         mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
-        m = partition(mu, n).cell_count
+        m = len(partition(mu, n).cells)
         sizes = {"one-short": 2 * (m + 1) * (2 * m + 1), "one-exact": 4 * m * m,
                  "ragged": 8 * (m + 4), "ragged-row-blocks": 8 * (m + 4)}
         want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 4, 7)
@@ -187,7 +227,7 @@ class TestGreedySweep:
         decision, and so every bit, is the per-cell sweep's, for 1, 2 and 3 workers."""
         g = SWEEP_KERNELS[kernel](dim)
         mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
-        m = partition(mu, n).cell_count
+        m = len(partition(mu, n).cells)
         want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 4, 7)
         real, blocks = quantizer._pair_pass, []
 
@@ -219,7 +259,7 @@ class TestGreedySweep:
         """A hybrid selection makes k tuple passes, one pass per chunk of the sweep
         and one final energy pass, not one pass per cell; a chunk is two blocks."""
         part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 1024)
-        m, k = part.cell_count, 2
+        m, k = len(part.cells), 2
         chunk = max(c for c in range(1, m + 1) if 2 * c * (m + c) <= 2 * energy._BLOCK_ELEMENTS)
         real, passes = energy._pair_pass, []
 
@@ -259,7 +299,7 @@ class TestQuantize:
         for point, cell in zip(points, cells):
             lo, hi = cell.rect[:, 0], cell.rect[:, 1]
             assert np.all(lo <= point) and np.all(point <= hi)
-            assert np.array_equal(point, np.clip(cell.restriction.mean_point(), lo, hi))
+            assert np.array_equal(point, np.clip(cell.mean_point(), lo, hi))
 
     def test_point_mass_quantizes_to_copies(self):
         result = quantize(single_atom([2.0, -1.0]), 7, strategy="conditional-mean")
