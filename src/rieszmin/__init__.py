@@ -1,6 +1,8 @@
 """Pairwise interaction energies over point configurations: minimization,
 measure quantization with energy control, and convergence diagnostics."""
 
+from types import ModuleType as _ModuleType
+
 from .energy import (
     Configuration,
     EnergyValue,
@@ -75,4 +77,5 @@ from .diagnostics import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()  # the public names that are not modules
+           if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

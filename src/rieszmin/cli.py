@@ -11,19 +11,18 @@ Exit codes: 0 success, 1 usage/parse error, 2 domain/validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import os
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, astuple, fields, is_dataclass
 
 import numpy as np
 
-from .diagnostics import cluster_classify, el_residual, gamma_trace
+from .diagnostics import TraceRow, cluster_classify, el_residual, gamma_trace
 from .energy import (discrete_energy, load_configuration_csv, save_configuration_csv,
                      worker_threads)
 from .errors import NumericalError, UsageError, ValidationError
-from .io import (DEFAULT_SEED, config_number, config_path, dump_report, flag,
+from .io import (DEFAULT_SEED, _write_rows, config_number, config_path, dump_report, flag,
                  load_json_config, measure_from_config, real, whole)
 from .kernels import CheckScheme, check_assumptions, kernel_from_config
 from .minimizer import InitSpec, MinimizeSettings, minimize
@@ -77,22 +76,15 @@ def _setup(args):
     return config, seed, out_dir, base_dir
 
 
-def _kernel(config, base_dir):
-    if "kernel" not in config:
-        raise UsageError("config is missing the 'kernel' block")
-    try:
-        return kernel_from_config(config["kernel"], base_dir)
-    except KeyError as exc:
-        raise UsageError(f"config 'kernel' block is missing key {exc}") from None
-
-
-def _measure(config, base_dir, key="measure", required=True):
+def _from_block(config, base_dir, key, build, required=True):
+    """build(config[key], base_dir), a kernel or measure; None for an absent block
+    that is not required, and a UsageError for any other missing block or key."""
     if key not in config:
         if required:
             raise UsageError(f"config is missing the '{key}' block")
         return None
     try:
-        return measure_from_config(config[key], base_dir)
+        return build(config[key], base_dir)
     except KeyError as exc:
         raise UsageError(f"config '{key}' block is missing key {exc}") from None
 
@@ -138,7 +130,8 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
     key = "measure" if kind == "quantizer-seeded" else "path" if kind == "user" else "scale"
     _check_keys(init_block, ("kind", key), "minimize.init")
     if kind == "quantizer-seeded":
-        init = InitSpec(kind=kind, measure=_measure(init_block, base_dir))
+        init = InitSpec(kind=kind, measure=_from_block(init_block, base_dir, "measure",
+                                                       measure_from_config))
     elif kind == "user":
         if "path" not in init_block:
             raise UsageError("config 'minimize.init' block of kind 'user' is missing key 'path'")
@@ -156,8 +149,8 @@ def _minimize_settings(config, seed, base_dir=".") -> MinimizeSettings:
 
 def _cmd_check_kernel(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
-    kernel = _kernel(config, base_dir)
-    witness = _measure(config, base_dir, key="witness", required=False)
+    kernel = _from_block(config, base_dir, "kernel", kernel_from_config)
+    witness = _from_block(config, base_dir, "witness", measure_from_config, required=False)
     try:
         scheme = CheckScheme(**_settings(config.get("check_scheme"), "check_scheme", CheckScheme),
                              seed=seed)
@@ -187,8 +180,8 @@ def _cmd_check_kernel(args) -> int:
 
 def _cmd_quantize(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
-    measure = _measure(config, base_dir)
-    kernel = _kernel(config, base_dir) if "kernel" in config else None
+    measure = _from_block(config, base_dir, "measure", measure_from_config)
+    kernel = _from_block(config, base_dir, "kernel", kernel_from_config, required=False)
     if "n" not in config:
         raise UsageError("config is missing 'n'")
     block = _settings(config.get("quantize"), "quantize", quantize, ("strategy", "k"))
@@ -208,7 +201,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_minimize(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
-    kernel = _kernel(config, base_dir)
+    kernel = _from_block(config, base_dir, "kernel", kernel_from_config)
     if "n" not in config:
         raise UsageError("config is missing 'n'")
     n = config_number(config, "n", int)
@@ -217,11 +210,7 @@ def _cmd_minimize(args) -> int:
     result = minimize(kernel, n, dim, settings)
     save_configuration_csv(result.config, os.path.join(out_dir, "minimized.csv"))
     dump_report(result.as_dict(), os.path.join(out_dir, "minimize.json"))
-    with open(os.path.join(out_dir, "history.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["energy", "grad_norm"])
-        for energy, gnorm in result.history:
-            writer.writerow([f"{energy:.17g}", f"{gnorm:.17g}"])
+    _write_rows(os.path.join(out_dir, "history.csv"), [("energy", "grad_norm"), *result.history])
     print(f"n={n}: energy {result.energy:.12g}, grad norm {result.grad_norm:.3g}, "
           f"{'converged' if result.converged else 'max iterations reached'} "
           f"after {result.iterations} iterations")
@@ -233,8 +222,8 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_trace(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
-    kernel = _kernel(config, base_dir)
-    measure = _measure(config, base_dir)
+    kernel = _from_block(config, base_dir, "kernel", kernel_from_config)
+    measure = _from_block(config, base_dir, "measure", measure_from_config)
     if not config.get("n_list"):
         raise UsageError("config must provide a nonempty 'n_list'")
     n_list = config_number(config, "n_list", lambda ns: [whole(n) for n in ns])
@@ -242,19 +231,8 @@ def _cmd_trace(args) -> int:
                       ("with_minimization", "strategy", "k", "mc_samples"))
     settings = _minimize_settings(config, seed, base_dir)
     trace = gamma_trace(kernel, measure, n_list, **block, seed=seed, minimize_settings=settings)
-    csv_path = os.path.join(out_dir, "trace.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "energy_quantized", "energy_minimized",
-                         "bl_distance", "diameter"])
-        for row in trace.rows:
-            writer.writerow([
-                row.n,
-                f"{row.energy_quantized:.17g}",
-                "" if row.energy_minimized is None else f"{row.energy_minimized:.17g}",
-                f"{row.bl_distance:.17g}",
-                f"{row.diameter:.17g}",
-            ])
+    _write_rows(os.path.join(out_dir, "trace.csv"),
+                [[f.name for f in fields(TraceRow)], *map(astuple, trace.rows)])
     dump_report(trace.as_dict(), os.path.join(out_dir, "trace.json"))
     print(f"trace over n={n_list}: target energy "
           f"{trace.target_energy:.6g} +- {trace.target_std_error:.2g}")
@@ -273,7 +251,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     config, seed, out_dir, base_dir = _setup(args)
-    kernel = _kernel(config, base_dir)
+    kernel = _from_block(config, base_dir, "kernel", kernel_from_config)
     if not (args.configuration or config.get("configuration")):
         raise UsageError("diagnose needs a configuration CSV (argument or config key)")
     # the argument is relative to the working directory, the key to the config's

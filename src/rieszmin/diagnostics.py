@@ -125,13 +125,7 @@ class ClusterReport:
 
     def as_dict(self) -> dict:
         return {
-            "classification": self.classification,
-            "largest_fraction": self.largest_fraction,
-            "gap": self.gap,
-            "median_nn_distance": self.median_nn_distance,
-            "link_threshold": self.link_threshold,
-            "max_ball_mass": self.max_ball_mass,
-            "ball_radius": self.ball_radius,
+            **vars(self),
             "clusters": [
                 {
                     "size": int(len(c.indices)),
@@ -255,12 +249,10 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
 
     if largest >= 0.99:
         label = "compactness"
+    elif len(heavy) >= 2 and gap > 10.0 * max(c.radius for c in clusters):
+        label = "dichotomy-like"
     else:
-        max_radius = max(c.radius for c in clusters)
-        if len(heavy) >= 2 and gap > 10.0 * max_radius:
-            label = "dichotomy-like"
-        else:
-            label = "vanishing-like"
+        label = "vanishing-like"
     return ClusterReport(classification=label, clusters=clusters,
                          largest_fraction=largest, gap=gap,
                          median_nn_distance=median_nn, link_threshold=threshold,
@@ -362,6 +354,7 @@ def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
     n_list = list(n_list)
     if not n_list:
         raise ValidationError("n_list must not be empty")
+    mc = continuum_energy_mc(mu, kernel, mc_samples, seed)  # checks its inputs before any row
     rows: List[TraceRow] = []
     for n in n_list:
         qr = quantize(mu, n, kernel, strategy=strategy, k=k, seed=seed)
@@ -375,7 +368,6 @@ def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
             e_m = minimize(kernel, n, mu.dim, settings).energy
         rows.append(TraceRow(n=n, energy_quantized=e_q, energy_minimized=e_m,
                              bl_distance=dist, diameter=diam))
-    mc = continuum_energy_mc(mu, kernel, mc_samples, seed)
     ell_p = rows[-1].energy_minimized if with_minimization else None
     return GammaTrace(rows=rows, target_energy=mc.estimate,
                       target_std_error=mc.std_error, ell_p_estimate=ell_p)

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import GradientUndefinedError, UsageError, ValidationError
-from .io import _read_rows
+from .io import _read_rows, _write_rows
 from .kernels import Kernel
 from .measures import _as_points
 
@@ -476,10 +476,7 @@ def truncated_energy_gap(cfg: Configuration, kernel: Kernel, level: float) -> Tu
 
 def save_configuration_csv(cfg: Configuration, path) -> None:
     """First line 'dim,n', then one point per line, 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{cfg.dim},{cfg.n}\n")
-        for row in cfg.points:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    _write_rows(path, [(cfg.dim, cfg.n), *cfg.points])
 
 
 def load_configuration_csv(path) -> Configuration:

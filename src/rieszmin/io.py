@@ -224,13 +224,7 @@ def _sanitize(obj):
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if x == math.inf:
-            return "inf"
-        if x == -math.inf:
-            return "-inf"
-        return x
+        return x if math.isfinite(x) else str(x)  # "nan", "inf" or "-inf"
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -248,3 +242,12 @@ def dump_report(payload: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_rows(path, rows) -> None:
+    """The twin of _read_rows: one line per row, its cells comma-joined (a string
+    as is, None as an empty cell, a number to 17 significant digits), LF ends."""
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else "" if c is None else f"{c:.17g}"
+                              for c in row) + "\n")

@@ -77,8 +77,8 @@ class MinimizeSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or not self.grad_tol > 0:
-            raise ValidationError("restarts, max_iters and grad_tol must be positive")
+        if self.restarts < 1 or self.max_iters < 1 or not 0.0 < self.grad_tol < math.inf:
+            raise ValidationError("restarts and max_iters must be positive, grad_tol in (0, inf)")
 
 
 @dataclass

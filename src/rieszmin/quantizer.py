@@ -206,7 +206,7 @@ def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,
              strategy: str = "hybrid", k: int = 32, seed: int = 0) -> QuantizeResult:
     """Partition the measure, select representatives, and keep the first n
     of them in cell order (the last l^dim - n cells are dropped)."""
-    if kernel is None:
+    if kernel is None and strategy in STRATEGIES:
         strategy = "conditional-mean"
     part = partition(mu, n)
     select_representatives(part, kernel, strategy=strategy, k=k, seed=seed)

@@ -21,6 +21,21 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(values) - lo) * (out_hi - out_lo) / span
 
 
+def _canvas(title: str, *marks: str) -> list:
+    """The opening <svg> and white <rect> tags, then ``marks``, then the title
+    <text> when there is one: the start of a chart's list of tags."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
+        *marks,
+    ]
+    if title:
+        parts.append(f'<text x="{_SIZE // 2}" y="20" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="13">{title}</text>')
+    return parts
+
+
 def scatter_svg(points: np.ndarray, labels: Optional[Sequence[int]] = None,
                 title: str = "") -> str:
     points = np.asarray(points, dtype=float)
@@ -32,14 +47,7 @@ def scatter_svg(points: np.ndarray, labels: Optional[Sequence[int]] = None,
     lo, hi = lo - pad, hi + pad
     xs = _scale(points[:, 0], lo[0], hi[0], _MARGIN, _SIZE - _MARGIN)
     ys = _scale(points[:, 1], lo[1], hi[1], _SIZE - _MARGIN, _MARGIN)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
-        f'viewBox="0 0 {_SIZE} {_SIZE}">',
-        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{_SIZE // 2}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13">{title}</text>')
+    parts = _canvas(title)
     for i in range(len(points)):
         color = _PALETTE[(labels[i] if labels is not None else 0) % len(_PALETTE)]
         parts.append(f'<circle cx="{xs[i]:.2f}" cy="{ys[i]:.2f}" r="3" '
@@ -58,18 +66,11 @@ def line_chart_svg(xs: Sequence[float], series: dict, title: str = "") -> str:
     pad = 0.05 * max(y_hi - y_lo, 1e-9)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     x_lo, x_hi = float(xs.min()), float(xs.max())
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
-        f'viewBox="0 0 {_SIZE} {_SIZE}">',
-        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_SIZE - _MARGIN}" x2="{_SIZE - _MARGIN}" '
-        f'y2="{_SIZE - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
-        f'y2="{_SIZE - _MARGIN}" stroke="black"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{_SIZE // 2}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13">{title}</text>')
+    parts = _canvas(title,
+                    f'<line x1="{_MARGIN}" y1="{_SIZE - _MARGIN}" x2="{_SIZE - _MARGIN}" '
+                    f'y2="{_SIZE - _MARGIN}" stroke="black"/>',
+                    f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
+                    f'y2="{_SIZE - _MARGIN}" stroke="black"/>')
     for idx, (name, ys) in enumerate(sorted(series.items())):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = [

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +13,7 @@ from rieszmin import minimizer
 from rieszmin.cli import _minimize_settings, _settings, main
 from rieszmin.diagnostics import cluster_classify, gamma_trace
 from rieszmin.energy import load_configuration_csv
+from rieszmin.io import _sanitize, load_cloud_csv
 from rieszmin.kernels import CheckScheme, PowerLawKernel
 from rieszmin.quantizer import quantize
 
@@ -35,6 +38,11 @@ def write_config(tmp_path, name="config.json", **overrides):
 def result_payload(path):
     with open(path) as fh:
         return json.load(fh)["result"]
+
+
+def svg_circles(path):
+    """The <circle> count of an SVG file, which must parse as XML."""
+    return len(ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}circle"))
 
 
 class TestCheckKernel:
@@ -99,6 +107,25 @@ class TestQuantize:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
             "numerical failure: representative selection failed: 32 rounds of 32 tuples ")
+
+    def test_svg_has_one_circle_per_point(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["quantize", "--config", cfg, "--out", str(out), "--svg"]) == 0
+        assert svg_circles(out / "quantized.svg") == 25
+
+    @pytest.mark.parametrize("with_kernel", [True, False])
+    def test_unknown_strategy_is_a_validation_error(self, tmp_path, capsys, with_kernel):
+        """Without a kernel the strategy becomes conditional-mean, but only a known one."""
+        cfg = write_config(tmp_path, quantize={"strategy": "bogus"})
+        if not with_kernel:
+            config = json.loads(Path(cfg).read_text())
+            del config["kernel"]
+            Path(cfg).write_text(json.dumps(config))
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1 and "bogus" in err
+        assert not (tmp_path / "out" / "quantized.csv").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -172,6 +199,22 @@ class TestTrace:
         assert main(["trace", "--config", cfg, "--out", str(out), "--svg"]) == 0
         assert (out / "trace.svg").exists()
 
+    def test_svg_with_minimization_has_both_series(self, tmp_path):
+        cfg = write_config(tmp_path, n_list=[4, 9],
+                           trace={"mc_samples": 2000, "k": 4, "with_minimization": True})
+        out = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--out", str(out), "--svg"]) == 0
+        assert svg_circles(out / "trace.svg") == 4  # two rows of two series
+
+    def test_every_csv_ends_its_lines_in_lf(self, tmp_path):
+        cfg = write_config(tmp_path, n=4, minimize={"restarts": 1, "max_iters": 20})
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("minimized.csv", "history.csv", "trace.csv"):
+            text = (out / name).read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n"), name
+
     def test_svg_leaves_an_infinite_energy_out(self, tmp_path):
         """Coincident atoms make the n=9 quantized energy of a singular kernel
         +inf; the chart's y-range and line take the finite rows only."""
@@ -211,6 +254,16 @@ class TestDiagnose:
         assert main(["diagnose", "--config", cfg, str(path), "--out", str(out)]) == 0
         payload = result_payload(out / "diagnose.json")
         assert payload["clusters"]["classification"] == "dichotomy-like"
+
+    def test_svg_has_one_circle_per_point(self, tmp_path):
+        cfg = write_config(tmp_path)
+        csv = tmp_path / "cfg.csv"
+        csv.write_text("2,6\n0,0\n0.1,0\n0,0.1\n5,5\n5.1,5\n5,5.1\n")
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", cfg, str(csv), "--out", str(out), "--svg"]) == 0
+        root = ET.parse(out / "diagnose.svg").getroot()
+        fills = [c.get("fill") for c in root.findall("{http://www.w3.org/2000/svg}circle")]
+        assert len(fills) == 6 and len(set(fills)) == 2  # one colour per cluster
 
     def test_diagnose_loads_no_scipy(self, tmp_path):
         """scipy is only for tabulated kernels; a power-law diagnose runs without it."""
@@ -358,6 +411,21 @@ class TestParsing:
         out = tmp_path / "out"
         assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
         assert load_configuration_csv(out / "quantized.csv").n == 16
+
+    def test_cloud_trailing_weight_column_is_normalized(self, tmp_path):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0,1\n1,0,3\n")
+        points, weights = load_cloud_csv(cloud, dim=2)
+        assert points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert weights.tolist() == [0.25, 0.75]
+        points, weights = load_cloud_csv(cloud)  # no declared dimension: three coordinates
+        assert points.shape == (2, 3) and weights is None
+
+    def test_report_values_become_json_safe(self):
+        out = _sanitize({"a": np.array([1.5, math.nan]),
+                         "b": (-math.inf, np.int64(3), np.bool_(True), np.float32(0.5))})
+        assert out == {"a": [1.5, "nan"], "b": ["-inf", 3, True, 0.5]}
+        assert [type(v) for v in out["b"][1:]] == [int, bool, float]
 
     def test_density_measure_from_expression(self, tmp_path):
         cfg = write_config(
@@ -588,6 +656,7 @@ class TestOutOfRange:
         ("minimize", {"minimize": {"init": {"scale": 0}}}, "init scale"),
         ("minimize", {"minimize": {"init": {"scale": -1.5}}}, "init scale"),
         ("minimize", {"minimize": {"grad_tol": float("nan")}}, "grad_tol"),
+        ("minimize", {"minimize": {"grad_tol": float("inf")}}, "grad_tol"),
         ("diagnose", {"diagnostics": {"gap_factor": float("nan")}}, "gap_factor"),
         ("diagnose", {"diagnostics": {"gap_factor": float("inf")}}, "gap_factor"),
         # a measure's points of the wrong shape

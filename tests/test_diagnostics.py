@@ -11,6 +11,7 @@ from rieszmin import (
     PowerLawKernel,
     SubConfiguration,
     UniformBoxMeasure,
+    ValidationError,
     cross_energy,
     discrete_energy,
     partial_energy,
@@ -245,6 +246,19 @@ class TestGammaTrace:
         for row in trace.rows:
             assert row.energy_minimized <= row.energy_quantized + 1e-12
         assert trace.ell_p_estimate == trace.rows[-1].energy_minimized
+
+    @pytest.mark.parametrize("kernel, mc_samples, text", [
+        (PL2, 1, "Monte-Carlo samples"),
+        (PowerLawKernel(1, 2, dim=1), 1000, "dimension"),
+    ])
+    def test_monte_carlo_inputs_are_checked_before_any_row(self, monkeypatch, kernel,
+                                                           mc_samples, text):
+        calls = mock.Mock(wraps=quantize)
+        monkeypatch.setattr("rieszmin.diagnostics.quantize", calls)
+        with pytest.raises(ValidationError, match=text):
+            gamma_trace(kernel, UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), [16, 64],
+                        mc_samples=mc_samples)
+        assert calls.call_count == 0
 
 
 class TestDichotomyEnergySplit:

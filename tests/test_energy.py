@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -425,3 +426,19 @@ class TestConfigurationCsv:
         path = tmp_path / "config.csv"
         save_configuration_csv(cfg, path)
         assert path.read_text().splitlines()[0] == "2,2"
+
+
+class TestPackageNames:
+    def test_star_import_binds_no_submodule(self):
+        """__all__ names only the public API, so a star import cannot shadow a
+        module the caller imported, such as the standard library's io."""
+        import types
+
+        import rieszmin
+
+        assert not [name for name in rieszmin.__all__
+                    if isinstance(getattr(rieszmin, name), types.ModuleType)]
+        assert {"discrete_energy", "quantize", "ValidationError"} <= set(rieszmin.__all__)
+        namespace = {}
+        exec("import io\nfrom rieszmin import *", namespace)
+        assert namespace["io"] is sys.modules["io"]

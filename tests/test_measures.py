@@ -111,6 +111,17 @@ class TestDensityBox:
                                normalize=True)
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_samples_lie_in_the_cells_of_their_atoms(self):
+        """Each draw is an atom jittered within half a grid step on each axis,
+        inside the box, and the same draws come back for the same seed."""
+        mu = DensityBoxMeasure(lambda pts: 2.0 * pts[:, 0], [0.0, -1.0], [1.0, 1.0],
+                               cells_per_axis=8, normalize=True)
+        pts = mu.sample(500, np.random.default_rng(9))
+        assert np.all((pts >= [0.0, -1.0]) & (pts <= [1.0, 1.0]))
+        offsets = np.abs(pts[:, None, :] - mu.points[None, :, :])  # (draws, atoms, axes)
+        assert np.all(np.any(np.all(offsets <= [0.5 / 8, 1.0 / 8], axis=2), axis=1))
+        assert np.array_equal(pts, mu.sample(500, np.random.default_rng(9)))
+
     def test_triangular_density_quantiles(self):
         # density 2x on [0, 1] has CDF x^2, so the median is sqrt(1/2)
         mu = DensityBoxMeasure(lambda pts: 2.0 * pts[:, 0], [0.0], [1.0],

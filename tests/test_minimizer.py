@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from unittest import mock
 
@@ -13,6 +14,7 @@ from rieszmin import (
     TabulatedKernel,
     TruncatedKernel,
     UniformBoxMeasure,
+    ValidationError,
     discrete_energy,
     quantize,
 )
@@ -140,6 +142,11 @@ class TestMinimize:
         res = minimize(kernel, n, 2, MinimizeSettings(restarts=2, seed=3, max_iters=100))
         assert res.diameter == pdist(res.config.points).max(initial=0.0)
 
+    @pytest.mark.parametrize("grad_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_grad_tol_must_be_positive_and_finite(self, grad_tol):
+        with pytest.raises(ValidationError, match=r"grad_tol in \(0, inf\)"):
+            MinimizeSettings(grad_tol=grad_tol)
+
 
 class TestSearchDirection:
     def test_one_pass_per_line_search_trial(self):
@@ -236,6 +243,16 @@ class TestRepair:
             before = discrete_energy(cfg, PL2).value
             after = discrete_energy(repair_outliers(cfg, PL2), PL2).value
             assert after <= before + 1e-15
+
+    def test_coincident_bulk_anchors_the_move_on_the_first_axis(self):
+        """When every bulk point coincides there is no farthest one to go beyond:
+        the one outlier moves to the bulk plus the bulk radius along the first axis."""
+        pts = np.vstack([np.zeros((8, 2)), [[10.0, 0.0]]])
+        radius = float(np.linalg.norm(pts[0] - pts.mean(axis=0)))  # the median distance
+        repaired = repair_outliers(Configuration(pts), PL2)
+        assert np.array_equal(repaired.points[:8], pts[:8])
+        assert repaired.points[8].tolist() == [radius, 0.0]
+        assert discrete_energy(repaired, PL2).value < discrete_energy(Configuration(pts), PL2).value
 
     def test_degenerate_coincident_cloud_unchanged(self):
         cfg = Configuration(np.zeros((5, 2)))

@@ -152,6 +152,11 @@ class TestSelectRepresentatives:
         with pytest.raises(ValidationError):
             select_representatives(part, PL1, strategy="annealing")
 
+    @pytest.mark.parametrize("kernel", [PL1, None])
+    def test_quantize_rejects_an_unknown_strategy_with_or_without_a_kernel(self, kernel):
+        with pytest.raises(ValidationError, match="unknown strategy 'annealing'"):
+            quantize(UniformBoxMeasure([0.0], [1.0]), 2, kernel, strategy="annealing")
+
 
 def reference_hybrid(part, kernel, k, seed):
     """Hybrid selection with the greedy sweep as one potential_grid call per cell over the
