@@ -191,8 +191,7 @@ def _cmd_quantize(args) -> int:
     if kernel is not None:
         sidecar["energy"] = discrete_energy(result.config, kernel).as_dict()
     dump_report(sidecar, os.path.join(out_dir, "quantize.json"))
-    print(f"quantized {result.config.n} points (l={result.split_count}, "
-          f"dropped={result.dropped}) -> {out_dir}/quantized.csv")
+    print(f"quantized {result.config.n} points -> {out_dir}/quantized.csv")
     if args.svg and measure.dim == 2:
         with open(os.path.join(out_dir, "quantized.svg"), "w") as fh:
             fh.write(scatter_svg(result.config.points, title="quantized configuration"))

@@ -1,10 +1,8 @@
 """Quantization of a probability measure into an n-point configuration.
 
-The construction splits space into l^dim closed rectangles of equal mass
-(l = ceil(n^(1/dim))) by recursive axis-by-axis quantile strips; the cells
-are the measure's restrictions to those rectangles.  It picks one
-representative per cell, and keeps the first n cells in lexicographic order
-of their split indices, dropping the last l^dim - n.
+The construction splits space into n closed rectangles of mass 1/n each by
+recursive axis-by-axis quantile strips; the cells are the measure's
+restrictions to those rectangles, and each gives one point.
 
 Representative selection goes beyond the clipped cell mean with a kernel:
 best-of-k tuples drawn from the product of the cell measures, each tuple's
@@ -45,7 +43,7 @@ def side_count(n: int, dim: int) -> int:
 
 @dataclass
 class SelectionInfo:
-    achieved_G: float
+    achieved_G: Optional[float]
     bound_estimate: Optional[float] = None
     bound_stderr: Optional[float] = None
     greedy_improvements: int = 0
@@ -53,12 +51,12 @@ class SelectionInfo:
 
 @dataclass
 class MassPartition:
-    """The measure's restrictions to its l^dim equal-mass closed rectangles, in
-    row-major order of their split indices: cell i's are np.unravel_index(i,
-    (l,) * dim).  ``points`` holds their (m, dim) representatives once selected."""
+    """The measure's restrictions to its n equal-mass closed rectangles, in
+    row-major order of their split indices (at n = l^dim, cell i's are
+    np.unravel_index(i, (l,) * dim)).  ``points`` holds their (n, dim)
+    representatives once selected."""
 
     cells: List[Restriction]
-    split_count: int
     dim: int
     points: Optional[np.ndarray] = None
     selection: Optional[SelectionInfo] = None
@@ -70,26 +68,31 @@ class MassPartition:
 
 
 def partition(mu: TargetMeasure, n: int) -> MassPartition:
-    """Axis-recursive equal-mass partition into l^dim cells of mass l^-dim.
+    """Axis-recursive equal-mass partition into n cells of mass 1/n.
 
-    Mass sitting exactly on a threshold is split fractionally between the
-    adjacent cells, so cell masses are exact for atom clouds too.
+    A remainder owed c cells, with r axes still to split, splits into
+    side_count(c, r) strips; strip h takes c // (strips - h) of the cells still
+    owed, so the last axis ends with one cell per strip.  At n = l^dim every
+    remainder splits into l strips of l^(r-1) cells.  Mass sitting exactly on
+    a threshold is split fractionally between the adjacent cells, so cell
+    masses are exact for atom clouds too.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     dim = mu.dim
-    l = side_count(n, dim)
-    cells = [mu.root_restriction()]
+    cells = [(mu.root_restriction(), n)]
     for axis in range(dim):
-        new_cells: List[Restriction] = []
-        for remainder in cells:
-            for h in range(l - 1):
-                fraction = 1.0 / (l - h)
-                left, remainder, _ = remainder.split_fraction(axis, fraction)
-                new_cells.append(left)
-            new_cells.append(remainder)
+        new_cells = []
+        for remainder, c in cells:
+            strips = side_count(c, dim - axis)
+            for h in range(strips - 1):
+                take = c // (strips - h)
+                left, remainder, _ = remainder.split_fraction(axis, take / c)
+                new_cells.append((left, take))
+                c -= take
+            new_cells.append((remainder, c))
         cells = new_cells
-    return MassPartition(cells=cells, split_count=l, dim=dim)
+    return MassPartition(cells=[cell for cell, _ in cells], dim=dim)
 
 
 def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
@@ -119,8 +122,7 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     if strategy == "conditional-mean" or m == 1:
         part.points = np.array([np.clip(cell.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
                                 for cell in cells])
-        achieved = (_energy_stats(part.points, kernel)[0]
-                    if kernel is not None and m > 1 else 0.0)
+        achieved = _energy_stats(part.points, kernel)[0] if kernel is not None else None
         part.selection = SelectionInfo(achieved_G=achieved)
         return part
 
@@ -188,14 +190,10 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
 @dataclass(frozen=True)
 class QuantizeResult:
     config: Configuration
-    split_count: int
-    dropped: int
     selection: SelectionInfo
 
     def sidecar(self) -> dict:
         return {
-            "l": self.split_count,
-            "dropped": self.dropped,
             "achieved_G": self.selection.achieved_G,
             "bound_estimate": self.selection.bound_estimate,
             "bound_stderr": self.selection.bound_stderr,
@@ -204,15 +202,10 @@ class QuantizeResult:
 
 def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,
              strategy: str = "hybrid", k: int = 32, seed: int = 0) -> QuantizeResult:
-    """Partition the measure, select representatives, and keep the first n
-    of them in cell order (the last l^dim - n cells are dropped)."""
+    """Partition the measure into n cells and select one representative each."""
     if kernel is None and strategy in STRATEGIES:
         strategy = "conditional-mean"
     part = partition(mu, n)
     select_representatives(part, kernel, strategy=strategy, k=k, seed=seed)
-    return QuantizeResult(
-        config=Configuration(part.representatives()[:n]),
-        split_count=part.split_count,
-        dropped=len(part.cells) - n,
-        selection=part.selection,
-    )
+    return QuantizeResult(config=Configuration(part.representatives()),
+                          selection=part.selection)

@@ -195,7 +195,7 @@ def test_08_quantizer_mass_and_containment():
     cloud = AtomicMeasure(rng.normal(size=(10_000, 2)))
     for mu, n in ((UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 100), (cloud, 77)):
         part = partition(mu, n)
-        expected = 1.0 / part.split_count**2
+        expected = 1.0 / n
         for cell in part.cells:
             assert abs(cell.mass - expected) <= 1e-9
         select_representatives(part, kernel2, strategy="hybrid", k=16, seed=88)

@@ -90,13 +90,27 @@ class TestQuantize:
         assert (out1 / "quantized.csv").read_bytes() == (out2 / "quantized.csv").read_bytes()
         assert result_payload(out1 / "quantize.json") == result_payload(out2 / "quantize.json")
 
-    def test_sidecar_reports_dropped_cells(self, tmp_path):
-        cfg = write_config(tmp_path, n=10)
+    @pytest.mark.parametrize("strategy", ["conditional-mean", "best-of-k", "hybrid"])
+    def test_sidecar_scores_the_emitted_points(self, tmp_path, strategy):
+        """At a non-square n every selected point is emitted, so achieved_G is
+        the emitted configuration's energy, bit for bit."""
+        cfg = write_config(tmp_path, n=10, quantize={"strategy": strategy})
         out = tmp_path / "out"
         assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
         payload = result_payload(out / "quantize.json")
-        assert payload["l"] == 4
-        assert payload["dropped"] == 16 - 10
+        assert payload["achieved_G"] == payload["energy"]["value"]
+        assert "l" not in payload and "dropped" not in payload
+
+    def test_no_kernel_means_no_energy(self, tmp_path):
+        cfg = write_config(tmp_path, n=10)
+        config = json.loads(Path(cfg).read_text())
+        del config["kernel"]
+        Path(cfg).write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+        assert '"achieved_G": null' in (out / "quantize.json").read_text()
+        payload = result_payload(out / "quantize.json")
+        assert payload["achieved_G"] is None and "energy" not in payload
 
     def test_selection_giving_up_exits_three(self, tmp_path, capsys):
         corners = [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]]
@@ -734,7 +748,7 @@ class TestReadmeQuickStart:
         scope = {}
         exec(compile(code, "README.md", "exec"), scope)
         assert abs(scope["result"].energy + 0.25) <= 1e-9
-        assert scope["q"].dropped == 0
+        assert scope["q"].config.n == 100
 
 
 class TestSeed:

@@ -505,22 +505,43 @@ def test_partition_cells_of_tied_atom_clouds_have_exact_masses(n, dim, atoms, le
     """Atoms on a grid of `levels` values per axis, with random weights: many
     atoms share a coordinate, so strip thresholds land on tied atoms whose
     mass is split between neighbouring cells.  The strips along each split
-    axis come in order: the next strip's bounds do not fall below this one's."""
+    axis come in order: the next strip's bounds do not fall below this one's.
+    Tied strips can share their bounds, so the strips are told apart by the
+    split indices that the partition's counting rule gives each cell."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, levels, size=(atoms, dim)).astype(float)
     weights = rng.uniform(0.1, 1.0, size=atoms)
     part = partition(AtomicMeasure(pts, weights / weights.sum()), n)
-    l = side_count(n, dim)
-    target = 1.0 / l ** dim
-    assert len(part.cells) == l ** dim
+    assert len(part.cells) == n
+    for cell in part.cells:
+        assert abs(cell.mass - 1.0 / n) <= 1e-12
+        assert abs(cell.weights.sum() - 1.0 / n) <= 1e-12
     # the cells come in row-major order of their split indices
-    by_index = dict(zip(itertools.product(range(l), repeat=dim), part.cells))
-    for index, cell in by_index.items():
-        assert abs(cell.mass - target) <= 1e-12
-        assert abs(cell.weights.sum() - target) <= 1e-12
-        for axis, h in enumerate(index):
-            following = by_index.get(index[:axis] + (h + 1,) + index[axis + 1:])
-            assert following is None or np.all(following.rect[axis] >= cell.rect[axis])
+    strip_bounds = {}
+    for index, cell in zip(split_indices(n, dim), part.cells):
+        for axis in range(dim):
+            bounds = strip_bounds.setdefault(index[:axis + 1], cell.rect[axis])
+            assert np.array_equal(bounds, cell.rect[axis])  # one strip, one pair of bounds
+    for strip, bounds in strip_bounds.items():
+        following = strip_bounds.get(strip[:-1] + (strip[-1] + 1,))
+        assert following is None or np.all(following >= bounds)
+
+
+def split_indices(n, dim):
+    """Each cell's strip index along every axis, in cell order: a remainder owed
+    c cells with r axes left makes side_count(c, r) strips, strip h owed
+    c // (strips - h) of the c cells still owed."""
+    cells = [((), n)]
+    for axis in range(dim):
+        split = []
+        for index, c in cells:
+            strips = side_count(c, dim - axis)
+            for h in range(strips):
+                take = c // (strips - h)
+                split.append((index + (h,), take))
+                c -= take
+        cells = split
+    return [index for index, _ in cells]
 
 
 def per_axis_sample(restriction, count, rng):

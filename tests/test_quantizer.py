@@ -15,6 +15,7 @@ from rieszmin import (
     TabulatedKernel,
     UniformBoxMeasure,
     ValidationError,
+    bl_distance,
     discrete_energy,
     partition,
     quantize,
@@ -40,7 +41,6 @@ class TestSideCount:
 class TestPartition:
     def test_uniform_square_quarters(self):
         part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 4)
-        assert part.split_count == 2
         assert len(part.cells) == 4
         # row-major split indices (0, 0), (0, 1), (1, 0), (1, 1), read off the lower corners
         lower = [tuple(c.rect[:, 0]) for c in part.cells]
@@ -282,15 +282,29 @@ class TestQuantize:
     def test_exact_power_keeps_all_cells(self):
         result = quantize(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16,
                           PowerLawKernel(1, 2, dim=2), seed=0)
-        assert result.dropped == 0
         assert result.config.n == 16
 
-    def test_dropped_count(self):
+    def test_non_square_n_gives_n_cells_of_mass_one_over_n(self):
+        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 10)
+        assert len(part.cells) == 10
+        for cell in part.cells:
+            assert cell.mass == pytest.approx(0.1, abs=1e-12)
         result = quantize(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 10,
                           strategy="conditional-mean")
-        assert result.split_count == 4
-        assert result.dropped == 16 - 10
         assert result.config.n == 10
+
+    @pytest.mark.parametrize("dim,square,n", [
+        (2, 225, 230), (2, 225, 240), (2, 1024, 1050), (2, 1024, 1080),
+        (3, 1000, 1001), (3, 1000, 1100),
+    ])
+    def test_non_square_n_is_as_close_to_the_measure(self, dim, square, n):
+        """Weak-* convergence does not stall between squares: the conditional-mean
+        points at a non-square n are at most 1.25 times as far from the measure,
+        in the bl_distance surrogate, as those at the square n just below."""
+        mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
+        at_square, at_n = (bl_distance(quantize(mu, m, strategy="conditional-mean").config, mu)
+                           for m in (square, n))
+        assert at_n <= 1.25 * at_square
 
     @pytest.mark.parametrize("n", [2, 7, 64])
     def test_conditional_mean_is_finite_on_heavy_tails(self, n):
