@@ -19,7 +19,6 @@ from .energy import (
     Configuration,
     EnergyValue,
     _canonical_order,
-    _energy_stats,
     _on_workers,
     _pair_pass,
     _potentials,
@@ -358,7 +357,6 @@ def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
     rows: List[TraceRow] = []
     for n in n_list:
         qr = quantize(mu, n, kernel, strategy=strategy, k=k, seed=seed)
-        e_q, _, diam = _energy_stats(qr.config.points, kernel)
         dist = bl_distance(qr.config, mu)
         e_m = None
         if with_minimization:
@@ -366,8 +364,8 @@ def gamma_trace(kernel: Kernel, mu: TargetMeasure, n_list: Sequence[int],
             settings = replace(settings,
                                init=InitSpec(kind="user", config=qr.config))
             e_m = minimize(kernel, n, mu.dim, settings).energy
-        rows.append(TraceRow(n=n, energy_quantized=e_q, energy_minimized=e_m,
-                             bl_distance=dist, diameter=diam))
+        rows.append(TraceRow(n=n, energy_quantized=qr.selection.achieved_G, energy_minimized=e_m,
+                             bl_distance=dist, diameter=qr.selection.diameter))
     ell_p = rows[-1].energy_minimized if with_minimization else None
     return GammaTrace(rows=rows, target_energy=mc.estimate,
                       target_std_error=mc.std_error, ell_p_estimate=ell_p)

@@ -93,6 +93,11 @@ class Restriction(abc.ABC):
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw points of the restriction; always inside the closed rect."""
 
+    @classmethod
+    def sample_cells(cls, cells, streams, count: int) -> np.ndarray:
+        """Column i of the (count, m, dim) draws is cells[i].sample(count, streams[i])."""
+        return np.stack([cell.sample(count, rng) for cell, rng in zip(cells, streams)], axis=1)
+
     @abc.abstractmethod
     def mean_point(self) -> np.ndarray:
         """The restriction's mean, finite on every cell: product restrictions take
@@ -191,11 +196,16 @@ class ProductRestriction(Restriction):
         return left, right, t
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random((self.dim, count))  # per-axis rng.uniform's bits, lo + (hi - lo) u
-        out = np.empty((count, self.dim))
-        for axis, (lo, hi) in enumerate(self.u_rect.tolist()):
-            out[:, axis] = self._q(axis, lo + (hi - lo) * u[axis])
-        return out
+        return self.sample_cells([self], [rng], count)[:, 0]
+
+    @classmethod
+    def sample_cells(cls, cells, streams, count: int) -> np.ndarray:
+        """One quantile call per axis for all the cells; they share the measure's quantiles."""
+        lo, hi = np.array([cell.u_rect for cell in cells]).T[..., None]  # (dim, m, 1) each
+        u = np.stack([rng.random((len(lo), count)) for rng in streams], axis=1)  # (dim, m, count)
+        # per-axis rng.uniform's bits, lo + (hi - lo) u
+        return np.stack([cells[0]._q(axis, lo[axis] + (hi[axis] - lo[axis]) * u[axis]).T
+                         for axis in range(len(lo))], axis=-1)
 
     def mean_point(self) -> np.ndarray:
         nodes, weights = _gauss(32)

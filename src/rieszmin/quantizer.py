@@ -5,12 +5,12 @@ recursive axis-by-axis quantile strips; the cells are the measure's
 restrictions to those rectangles, and each gives one point.
 
 Representative selection goes beyond the clipped cell mean with a kernel:
-best-of-k tuples drawn from the product of the cell measures, each tuple's
-pair pass run whole on one worker thread (energy.worker_threads), optionally
-followed by a greedy per-cell improvement sweep whose cells share one pair
-pass per chunk, two blocks that two workers compute side by side, with the
-normalized pair sum reported next to a Monte-Carlo estimate of its average
-so the selection quality can be asserted statistically.
+tuples drawn from the product of the cell measures, every cell in one batch.
+Best-of-k keeps the lowest of k tuples, each tuple's pair pass run whole on
+one worker thread (energy.worker_threads); hybrid takes one and lowers its
+pair sum by SWEEPS greedy per-cell sweeps whose cells share one pair pass per
+chunk, two blocks that two workers compute side by side.  The finite pair
+sums of the round kept estimate the product's average, and are reported.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .kernels import Kernel
 from .measures import Restriction, TargetMeasure
 
 STRATEGIES = ("conditional-mean", "best-of-k", "hybrid")
+SWEEPS = 2  # hybrid's greedy sweeps after its one product draw
 
 
 def side_count(n: int, dim: int) -> int:
@@ -44,6 +45,7 @@ def side_count(n: int, dim: int) -> int:
 @dataclass
 class SelectionInfo:
     achieved_G: Optional[float]
+    diameter: Optional[float] = None  # the largest pair distance, from achieved_G's pass
     bound_estimate: Optional[float] = None
     bound_stderr: Optional[float] = None
     greedy_improvements: int = 0
@@ -104,8 +106,9 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     Gauss-rule mean), clipped into the closed cell.
     best-of-k: k tuples from the product of the cell measures, keep the one
     with the lowest normalized pair sum.
-    hybrid: best-of-k plus one greedy sweep that re-draws single cells and
-    keeps strict improvements.
+    hybrid: one such tuple (k bounds its re-draws while its pair sum is not
+    finite), then SWEEPS greedy sweeps that each try one fresh draw per cell
+    and keep strict improvements.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -122,40 +125,36 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
     if strategy == "conditional-mean" or m == 1:
         part.points = np.array([np.clip(cell.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
                                 for cell in cells])
-        achieved = _energy_stats(part.points, kernel)[0] if kernel is not None else None
-        part.selection = SelectionInfo(achieved_G=achieved)
+        stats = _energy_stats(part.points, kernel) if kernel is not None else (None,) * 3
+        part.selection = SelectionInfo(achieved_G=stats[0], diameter=stats[2])
         return part
 
     rng = np.random.default_rng(seed)
     streams = rng.spawn(m)
-
+    tuples = 1 if strategy == "hybrid" else k
     for _ in range(k):
-        draws = np.empty((k, m, part.dim))
-        for i, cell in enumerate(cells):
-            draws[:, i, :] = cell.sample(k, streams[i])
-        values = np.array(_on_workers(lambda points: _energy_stats(points, kernel)[0], draws))
+        draws = cells[0].sample_cells(cells, streams, tuples)
+        stats = _on_workers(lambda points: _energy_stats(points, kernel), draws)
+        values = np.array([value for value, _, _ in stats])
         finite = np.isfinite(values)
         if np.any(finite):
             break
-        # all k tuples hit +inf (coincident draws under a singular kernel):
-        # re-draw; give up after k rounds
+        # every tuple hit +inf (coincident draws, singular kernel): re-draw, up to k rounds
     else:
         raise QuantizeError(
-            f"representative selection failed: {k} rounds of {k} tuples "
-            "all produced non-finite pair sums"
+            f"representative selection failed: {k} rounds of {tuples} "
+            f"tuple{'s' if tuples > 1 else ''} all produced non-finite pair sums"
         )
     j = int(np.argmin(np.where(finite, values, math.inf)))
-    best_value = float(values[j])
-    best_points = draws[j].copy()
+    stats, best_points = stats[j], draws[j].copy()
 
     finite_values = values[finite]
     bound_estimate = float(np.mean(finite_values))
     bound_stderr = (float(np.std(finite_values, ddof=1) / math.sqrt(len(finite_values)))
-                    if len(finite_values) > 1 else 0.0)
+                    if len(finite_values) > 1 else None)
 
     improvements = 0
     if strategy == "hybrid":
-        ys = np.array([c.sample(1, stream)[0] for c, stream in zip(cells, streams)])
         # chunk cells: the most c with 2 c (m + c) <= 2 _BLOCK_ELEMENTS, two blocks for two workers
         step = min(m, max(1, (math.isqrt(m * m + 4 * _BLOCK_ELEMENTS) - m) // 2))
         grid, pair = np.empty((2 * step, m + step)), np.empty((2, m - 1))
@@ -164,7 +163,9 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
             grid[i:i + len(d), :d.shape[1]] = kernel.radial(d)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for s in range(0, m, step):
+            for s in list(range(0, m, step)) * SWEEPS:
+                if s == 0:  # a sweep starts: one fresh candidate per cell, from its stream
+                    ys = cells[0].sample_cells(cells, streams, 1)[0]
                 # rows best[i], ys[i] of the chunk's cells i; cols best, then their ys
                 chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, part.dim)
                 _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]), fill)
@@ -177,10 +178,10 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                         best_points[i] = ys[i]
                         improvements += 1
                         grid[a + 2:, i] = grid[a + 2:, m - s + i]  # later cells see the move
-        best_value = _energy_stats(best_points, kernel)[0]
+        stats = _energy_stats(best_points, kernel)
 
     part.points = best_points
-    part.selection = SelectionInfo(achieved_G=best_value,
+    part.selection = SelectionInfo(achieved_G=stats[0], diameter=stats[2],
                                    bound_estimate=bound_estimate,
                                    bound_stderr=bound_stderr,
                                    greedy_improvements=improvements)

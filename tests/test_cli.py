@@ -120,7 +120,7 @@ class TestQuantize:
         assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
-            "numerical failure: representative selection failed: 32 rounds of 32 tuples ")
+            "numerical failure: representative selection failed: 32 rounds of 1 tuple ")
 
     def test_svg_has_one_circle_per_point(self, tmp_path):
         cfg = write_config(tmp_path)

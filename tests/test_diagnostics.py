@@ -247,6 +247,22 @@ class TestGammaTrace:
             assert row.energy_minimized <= row.energy_quantized + 1e-12
         assert trace.ell_p_estimate == trace.rows[-1].energy_minimized
 
+    @pytest.mark.parametrize("strategy, passes", [("conditional-mean", 1), ("best-of-k", 3),
+                                                  ("hybrid", 2)])
+    def test_rows_take_the_selections_own_pair_pass(self, strategy, passes):
+        """A row's energy and diameter are the selection's final pair pass, the values
+        a pass of their own would give; the trace runs no other pass per row."""
+        kernel, mu = PL2, UniformBoxMeasure([0.0, 0.0], [1.0, 1.0])
+        calls = mock.Mock(wraps=energy.pair_interaction_sum)
+        with mock.patch.object(energy, "pair_interaction_sum", calls):
+            trace = gamma_trace(kernel, mu, [16, 64], strategy=strategy, k=3, seed=4,
+                                mc_samples=1000)
+        assert calls.call_count == 2 * passes
+        for row in trace.rows:
+            points = quantize(mu, row.n, kernel, strategy=strategy, k=3, seed=4).config.points
+            e, _, diameter = energy._energy_stats(points, kernel)
+            assert row.energy_quantized == e and row.diameter == diameter
+
     @pytest.mark.parametrize("kernel, mc_samples, text", [
         (PL2, 1, "Monte-Carlo samples"),
         (PowerLawKernel(1, 2, dim=1), 1000, "dimension"),

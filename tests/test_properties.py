@@ -44,7 +44,7 @@ from rieszmin.cli import _minimize_settings
 from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 from rieszmin.kernels import _FAST_POWERS
-from rieszmin.measures import ProductRestriction, _full_rect
+from rieszmin.measures import ProductRestriction, Restriction, _full_rect
 from rieszmin.quantizer import partition, side_count
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
@@ -575,6 +575,45 @@ def test_product_sample_is_the_per_axis_uniform_draw(dim, count, seed, ends, mar
     assert drawn.shape == (count, dim)
     assert drawn.tobytes() == per_axis_sample(cell, count, want).tobytes()
     assert got.random() == want.random()
+
+
+MARGINALS = {"tan": lambda u: np.tan(np.pi * (u - 0.5)), "log1p": lambda u: -np.log1p(-u)}
+
+
+@SETTINGS
+@given(dim=st.integers(1, 3), n=st.integers(1, 300), count=st.sampled_from([1, 32]),
+       seed=st.integers(0, 2**32 - 1), marginal=st.sampled_from(["uniform", "tan", "log1p"]))
+@example(dim=2, n=256, count=32, seed=0, marginal="tan")
+def test_batched_cell_draws_are_each_cells_own_draws(dim, n, count, seed, marginal):
+    """Drawing a partition's cells with one quantile call per axis gives, byte for byte,
+    each cell's own draws from its own stream, and the per-axis rng.uniform reference,
+    for the uniform box and for Cauchy and Exp(1) marginals."""
+    if marginal == "uniform":
+        mu = UniformBoxMeasure([-1.0, 0.0, 2.0][:dim], [0.5, 3.0, 2.25][:dim])
+    else:
+        mu = ProductQuantileMeasure([MARGINALS[marginal]] * dim)
+    cells = partition(mu, n).cells
+    streams = [np.random.default_rng(seed).spawn(n) for _ in range(3)]
+    batched = cells[0].sample_cells(cells, streams[0], count)
+    per_cell = np.stack([c.sample(count, r) for c, r in zip(cells, streams[1])], axis=1)
+    reference = np.stack([per_axis_sample(c, count, r) for c, r in zip(cells, streams[2])],
+                         axis=1)
+    assert batched.shape == (count, n, dim)
+    assert batched.tobytes() == per_cell.tobytes() == reference.tobytes()
+    assert [r.random() for r in streams[0]] == [r.random() for r in streams[2]]
+
+
+@pytest.mark.parametrize("count", [1, 32])
+def test_atom_cloud_cells_are_drawn_one_by_one(count):
+    """An atom cloud's restrictions keep the per-cell loop: column i of the batch is
+    cells[i].sample(count, streams[i])."""
+    mu = AtomicMeasure(np.random.default_rng(3).normal(size=(500, 2)))
+    cells = partition(mu, 25).cells
+    assert type(cells[0]).sample_cells.__func__ is Restriction.sample_cells.__func__
+    batched = cells[0].sample_cells(cells, np.random.default_rng(4).spawn(25), count)
+    streams = np.random.default_rng(4).spawn(25)
+    per_cell = np.stack([c.sample(count, r) for c, r in zip(cells, streams)], axis=1)
+    assert batched.shape == (count, 25, 2) and batched.tobytes() == per_cell.tobytes()
 
 
 

@@ -141,11 +141,69 @@ class TestSelectRepresentatives:
 
     def test_selection_gives_up_after_k_rounds(self):
         """Five atoms cannot hold nine cells' draws apart: under a singular kernel every
-        tuple has coincident points, and best-of-k gives up after k rounds of k."""
+        tuple has coincident points, and selection gives up after k rounds, of k tuples
+        for best-of-k and of one for hybrid."""
         corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
         mu = AtomicMeasure(np.array(corners), np.full(5, 0.2))
-        with pytest.raises(QuantizeError, match="32 rounds of 32 tuples"):
-            quantize(mu, 9, PowerLawKernel(-0.5, 2, dim=2))
+        with pytest.raises(QuantizeError, match="32 rounds of 32 tuples all"):
+            quantize(mu, 9, PowerLawKernel(-0.5, 2, dim=2), strategy="best-of-k")
+        with pytest.raises(QuantizeError, match="32 rounds of 1 tuple all"):
+            quantize(mu, 9, PowerLawKernel(-0.5, 2, dim=2), strategy="hybrid")
+
+    @pytest.mark.parametrize("strategy, k", [("hybrid", 32), ("best-of-k", 1)])
+    def test_one_value_has_no_standard_error(self, strategy, k):
+        """Hybrid's bound is its first tuple's pair sum, and best-of-k with k = 1 has one
+        tuple too: one value gives no standard error, not a made-up 0."""
+        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
+        sel = select_representatives(part, PowerLawKernel(1, 2, dim=2), strategy, k=k,
+                                     seed=3).selection
+        assert sel.bound_stderr is None and math.isfinite(sel.bound_estimate)
+
+    def test_a_round_with_one_finite_tuple_has_no_standard_error(self):
+        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
+        real, calls = quantizer._energy_stats, []
+
+        def one_finite(points, kern):
+            calls.append(real(points, kern))
+            return calls[-1] if len(calls) == 3 else (math.inf,) * 3
+
+        with mock.patch.object(quantizer, "_energy_stats", one_finite):
+            sel = select_representatives(partition(mu, 16), kernel, "best-of-k", k=4,
+                                         seed=2).selection
+        assert len(calls) == 4
+        assert sel.achieved_G == sel.bound_estimate == calls[2][0]
+        assert sel.diameter == calls[2][2] and sel.bound_stderr is None
+
+    def test_hybrid_draws_an_infinite_first_tuple_again(self):
+        """A first tuple with a non-finite pair sum is drawn again from the same streams;
+        the sweeps start from the second, whose pair sum is the bound."""
+        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
+        real, calls = quantizer._energy_stats, []
+
+        def first_infinite(points, kern):
+            calls.append(points.copy())
+            return (math.inf,) * 3 if len(calls) == 1 else real(points, kern)
+
+        part = partition(mu, 16)
+        with mock.patch.object(quantizer, "_energy_stats", first_infinite):
+            sel = select_representatives(part, kernel, "hybrid", k=4, seed=5).selection
+        assert len(calls) == 3  # two draws and the final pass
+        streams = np.random.default_rng(5).spawn(len(part.cells))
+        draws = [np.array([c.sample(1, r)[0] for c, r in zip(part.cells, streams)])
+                 for _ in range(2)]
+        assert calls[0].tobytes() == draws[0].tobytes()
+        assert calls[1].tobytes() == draws[1].tobytes()
+        assert sel.bound_estimate == real(draws[1], kernel)[0] and sel.bound_stderr is None
+        assert sel.achieved_G == real(part.representatives(), kernel)[0] <= sel.bound_estimate
+
+    def test_hybrid_beats_best_of_k_at_the_same_k(self):
+        """One draw and SWEEPS greedy sweeps reach a lower pair sum than the best of 32
+        tuples, on the unit square under PL(1,2) at n = 1024."""
+        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
+        for seed in (1, 2, 3):
+            hybrid, best = (quantize(mu, 1024, kernel, strategy, k=32, seed=seed).selection
+                            for strategy in ("hybrid", "best-of-k"))
+            assert hybrid.achieved_G < best.achieved_G
 
     def test_unknown_strategy_rejected(self):
         part = partition(UniformBoxMeasure([0.0], [1.0]), 2)
@@ -158,25 +216,26 @@ class TestSelectRepresentatives:
             quantize(UniformBoxMeasure([0.0], [1.0]), 2, kernel, strategy="annealing")
 
 
-def reference_hybrid(part, kernel, k, seed):
-    """Hybrid selection with the greedy sweep as one potential_grid call per cell over the
-    others: best-of-k, then each cell's candidate from its stream after one round of k draws
-    (every tuple here has a finite pair sum)."""
-    sel = select_representatives(part, kernel, strategy="best-of-k", k=k, seed=seed).selection
-    best = part.representatives().copy()
-    m, improvements = len(best), 0
+def reference_hybrid(part, kernel, seed):
+    """Hybrid selection with each greedy sweep as one potential_grid call per cell over the
+    others: one tuple from the product of the cell measures (its pair sum finite here), then
+    SWEEPS sweeps, each trying the next draw from each cell's stream."""
+    m = len(part.cells)
     streams = np.random.default_rng(seed).spawn(m)
+    best = np.array([cell.sample(1, stream)[0] for cell, stream in zip(part.cells, streams)])
+    first, improvements = _energy_stats(best, kernel)[0], 0
+    assert math.isfinite(first)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (cell, stream) in enumerate(zip(part.cells, streams)):
-            cell.sample(k, stream)
-            y = cell.sample(1, stream)[0]
-            old, new = potential_grid(np.delete(best, i, axis=0), 1.0, kernel,
-                                      np.stack([best[i], y]))
-            delta = 2.0 * (new - old) / m**2
-            if math.isfinite(delta) and delta < 0.0:
-                best[i] = y
-                improvements += 1
-    return best, improvements, _energy_stats(best, kernel)[0], sel.bound_estimate
+        for _ in range(quantizer.SWEEPS):
+            for i, (cell, stream) in enumerate(zip(part.cells, streams)):
+                y = cell.sample(1, stream)[0]
+                old, new = potential_grid(np.delete(best, i, axis=0), 1.0, kernel,
+                                          np.stack([best[i], y]))
+                delta = 2.0 * (new - old) / m**2
+                if math.isfinite(delta) and delta < 0.0:
+                    best[i] = y
+                    improvements += 1
+    return best, improvements, _energy_stats(best, kernel)[0], first
 
 
 SWEEP_KERNELS = {
@@ -204,7 +263,7 @@ class TestGreedySweep:
         m = len(partition(mu, n).cells)
         sizes = {"one-short": 2 * (m + 1) * (2 * m + 1), "one-exact": 4 * m * m,
                  "ragged": 8 * (m + 4), "ragged-row-blocks": 8 * (m + 4)}
-        want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 4, 7)
+        want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 7)
         assert improvements > 0
         block = m + 4 if chunks.endswith("row-blocks") else energy._BLOCK_ELEMENTS
         interval = sys.getswitchinterval()
@@ -228,12 +287,13 @@ class TestGreedySweep:
     def test_two_block_chunks_are_the_per_cell_sweep_bit_for_bit(self, dim, n, kernel):
         """With one block size for the chunks and their passes, as outside tests, a
         chunk of c cells, 2 c (m + c) <= 2 * 8 (m + 4) pairs, is 7 cells and, but for
-        the last, two row blocks of 7 probes, which the workers fill side by side; every
-        decision, and so every bit, is the per-cell sweep's, for 1, 2 and 3 workers."""
+        the last, two row blocks of 7 probes, which the workers fill side by side, in each
+        sweep; every decision, and so every bit, is the per-cell sweep's, for 1, 2 and 3
+        workers."""
         g = SWEEP_KERNELS[kernel](dim)
         mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
         m = len(partition(mu, n).cells)
-        want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 4, 7)
+        want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 7)
         real, blocks = quantizer._pair_pass, []
 
         def counting(*args, **kwargs):
@@ -256,13 +316,17 @@ class TestGreedySweep:
                 assert part.representatives().tobytes() == want.tobytes()
                 assert sel.greedy_improvements == improvements
                 assert sel.achieved_G == achieved and sel.bound_estimate == bound
-                assert len(blocks) == -(-m // 7) and blocks[:m // 7] == [2] * (m // 7)
+                chunks = -(-m // 7)  # per sweep
+                assert len(blocks) == quantizer.SWEEPS * chunks
+                for p in range(0, len(blocks), chunks):
+                    assert blocks[p:p + m // 7] == [2] * (m // 7)
         finally:
             sys.setswitchinterval(interval)
 
     def test_one_pair_pass_per_chunk(self):
-        """A hybrid selection makes k tuple passes, one pass per chunk of the sweep
-        and one final energy pass, not one pass per cell; a chunk is two blocks."""
+        """A hybrid selection makes one tuple pass, one pass per chunk of each of its
+        SWEEPS sweeps and one final energy pass, not one pass per cell; a chunk is two
+        blocks."""
         part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 1024)
         m, k = len(part.cells), 2
         chunk = max(c for c in range(1, m + 1) if 2 * c * (m + c) <= 2 * energy._BLOCK_ELEMENTS)
@@ -275,7 +339,7 @@ class TestGreedySweep:
         with mock.patch.object(energy, "_pair_pass", counting), \
                 mock.patch.object(quantizer, "_pair_pass", counting):
             select_representatives(part, PowerLawKernel(1, 2, dim=2), strategy="hybrid", k=k)
-        assert chunk < m and len(passes) <= k + -(-m // chunk) + 1
+        assert chunk < m and len(passes) <= 1 + quantizer.SWEEPS * -(-m // chunk) + 1
 
 
 class TestQuantize:
