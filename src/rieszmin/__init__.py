@@ -49,7 +49,6 @@ from .measures import (
     single_atom,
 )
 from .quantizer import (
-    MassPartition,
     QuantizeResult,
     partition,
     quantize,

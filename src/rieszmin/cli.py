@@ -19,8 +19,7 @@ from dataclasses import MISSING, astuple, fields, is_dataclass
 import numpy as np
 
 from .diagnostics import TraceRow, cluster_classify, el_residual, gamma_trace
-from .energy import (discrete_energy, load_configuration_csv, save_configuration_csv,
-                     worker_threads)
+from .energy import load_configuration_csv, save_configuration_csv, worker_threads
 from .errors import NumericalError, UsageError, ValidationError
 from .io import (DEFAULT_SEED, _write_rows, config_number, config_path, dump_report, flag,
                  load_json_config, measure_from_config, real, whole)
@@ -187,10 +186,7 @@ def _cmd_quantize(args) -> int:
     block = _settings(config.get("quantize"), "quantize", quantize, ("strategy", "k"))
     result = quantize(measure, config_number(config, "n", int), kernel, **block, seed=seed)
     save_configuration_csv(result.config, os.path.join(out_dir, "quantized.csv"))
-    sidecar = result.sidecar()
-    if kernel is not None:
-        sidecar["energy"] = discrete_energy(result.config, kernel).as_dict()
-    dump_report(sidecar, os.path.join(out_dir, "quantize.json"))
+    dump_report(result.sidecar(), os.path.join(out_dir, "quantize.json"))
     print(f"quantized {result.config.n} points -> {out_dir}/quantized.csv")
     if args.svg and measure.dim == 2:
         with open(os.path.join(out_dir, "quantized.svg"), "w") as fh:

@@ -426,10 +426,13 @@ def continuum_energy_quadrature_1d(mu, kernel: Kernel) -> float:
     if mu.dim != 1:
         raise ValidationError("the quadrature path only covers one-dimensional measures")
     if isinstance(mu, AtomicMeasure):
-        x = mu.points[:, 0]
-        d = np.abs(x[:, None] - x[None, :])
-        vals = np.asarray(kernel.radial(d), dtype=float)
-        return float(mu.weights @ vals @ mu.weights)
+        rows = np.empty(len(mu.weights))  # each atom's weighted sum over all atoms
+
+        def weighted(d, i, j):
+            rows[i:i + len(d)] = kernel.radial(d) @ mu.weights
+
+        _pair_pass(mu.points, mu.points, weighted)
+        return float(mu.weights @ rows)
     if isinstance(mu, ProductQuantileMeasure):
         quantile = mu.quantiles[0]
         nodes, weights = _gauss(32)

@@ -94,9 +94,9 @@ class Restriction(abc.ABC):
         """Draw points of the restriction; always inside the closed rect."""
 
     @classmethod
-    def sample_cells(cls, cells, streams, count: int) -> np.ndarray:
-        """Column i of the (count, m, dim) draws is cells[i].sample(count, streams[i])."""
-        return np.stack([cell.sample(count, rng) for cell, rng in zip(cells, streams)], axis=1)
+    def sample_cells(cls, cells, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(count, m, dim) draws, column i from cells[i]: each cell's sample, in cell order."""
+        return np.stack([cell.sample(count, rng) for cell in cells], axis=1)
 
     @abc.abstractmethod
     def mean_point(self) -> np.ndarray:
@@ -196,13 +196,14 @@ class ProductRestriction(Restriction):
         return left, right, t
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_cells([self], [rng], count)[:, 0]
+        return self.sample_cells([self], rng, count)[:, 0]
 
     @classmethod
-    def sample_cells(cls, cells, streams, count: int) -> np.ndarray:
-        """One quantile call per axis for all the cells; they share the measure's quantiles."""
+    def sample_cells(cls, cells, rng: np.random.Generator, count: int) -> np.ndarray:
+        """One uniform draw for all the cells, then one quantile call per axis; the
+        cells share the measure's quantiles."""
         lo, hi = np.array([cell.u_rect for cell in cells]).T[..., None]  # (dim, m, 1) each
-        u = np.stack([rng.random((len(lo), count)) for rng in streams], axis=1)  # (dim, m, count)
+        u = rng.random((len(lo), len(cells), count))
         # per-axis rng.uniform's bits, lo + (hi - lo) u
         return np.stack([cells[0]._q(axis, lo[axis] + (hi[axis] - lo[axis]) * u[axis]).T
                          for axis in range(len(lo))], axis=-1)

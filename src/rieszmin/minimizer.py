@@ -35,6 +35,7 @@ _OUTWARD_OFFSET = 0.1  # repair sites sit this fraction beyond the farthest bulk
 _SHRINK = 0.5  # a rejected trial step halves
 _ARMIJO = 1e-4  # sufficient-decrease constant of the Armijo test (Nocedal & Wright, Sec. 3.1)
 _REPAIR_PERIOD = 50  # iterations between repair moves
+_SEPARATION = 1e-3  # restart 0 moves a repeated start point this fraction of the spread
 # A repair outlier lies beyond _FAR_FACTOR times the _BULK_QUANTILE of the distances
 # from the centre of mass.  One far outlier among n points drags that centre enough
 # to sit only (n-1) times farther from it than the bulk does, so both stay tight.
@@ -46,7 +47,8 @@ _FAR_FACTOR = 1.5
 class InitSpec:
     """Restart initialization: independent gaussian clouds, the quantizer
     applied to a target measure, or a user-supplied configuration (the last
-    two start restart 0 exactly there and jitter the rest)."""
+    two start restart 0 exactly there, but for a small jitter of each repeat
+    of a point, and jitter the rest)."""
 
     kind: str = "random-gaussian"
     scale: float = 1.0
@@ -187,10 +189,12 @@ def _initial_points(n: int, dim: int, settings: MinimizeSettings, restart: int,
                     rng: np.random.Generator, base: Optional[np.ndarray]) -> np.ndarray:
     if base is None:
         return settings.init.scale * rng.normal(size=(n, dim))
-    if restart == 0:
-        return np.array(base, copy=True)
     spread = max(float(np.linalg.norm(base - base.mean(axis=0), axis=1).max()), 1.0)
-    return base + 0.1 * spread * rng.normal(size=(n, dim))
+    if restart > 0:
+        return base + 0.1 * spread * rng.normal(size=(n, dim))
+    repeats = np.ones((n, 1), bool)  # the base itself, but for each later copy of a point
+    repeats[np.unique(base, axis=0, return_index=True)[1]] = False
+    return np.where(repeats, base + _SEPARATION * spread * rng.normal(size=(n, dim)), base)
 
 
 def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:

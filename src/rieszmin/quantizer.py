@@ -21,7 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .energy import _BLOCK_ELEMENTS, Configuration, _energy_stats, _on_workers, _pair_pass
+from .energy import (_BLOCK_ELEMENTS, Configuration, EnergyValue, _energy_stats, _on_workers,
+                     _pair_pass)
 from .errors import QuantizeError, ValidationError
 from .kernels import Kernel
 from .measures import Restriction, TargetMeasure
@@ -44,33 +45,35 @@ def side_count(n: int, dim: int) -> int:
 
 @dataclass
 class SelectionInfo:
+    """The first three are the selected points' _energy_stats, from one pass."""
+
     achieved_G: Optional[float]
-    diameter: Optional[float] = None  # the largest pair distance, from achieved_G's pass
+    min_distance: Optional[float] = None
+    diameter: Optional[float] = None
     bound_estimate: Optional[float] = None
     bound_stderr: Optional[float] = None
     greedy_improvements: int = 0
 
 
-@dataclass
-class MassPartition:
-    """The measure's restrictions to its n equal-mass closed rectangles, in
-    row-major order of their split indices (at n = l^dim, cell i's are
-    np.unravel_index(i, (l,) * dim)).  ``points`` holds their (n, dim)
-    representatives once selected."""
+@dataclass(frozen=True)
+class QuantizeResult:
+    config: Configuration
+    selection: SelectionInfo
 
-    cells: List[Restriction]
-    dim: int
-    points: Optional[np.ndarray] = None
-    selection: Optional[SelectionInfo] = None
-
-    def representatives(self) -> np.ndarray:
-        if self.points is None:
-            raise ValidationError("representatives not selected yet")
-        return self.points
+    def sidecar(self) -> dict:
+        """quantize.json's payload; with a kernel, the energy from achieved_G's pass."""
+        sel, n = self.selection, self.config.n
+        payload = {"achieved_G": sel.achieved_G, "bound_estimate": sel.bound_estimate,
+                   "bound_stderr": sel.bound_stderr}
+        if sel.achieved_G is not None:
+            payload["energy"] = EnergyValue(sel.achieved_G, n * (n - 1), sel.min_distance).as_dict()
+        return payload
 
 
-def partition(mu: TargetMeasure, n: int) -> MassPartition:
-    """Axis-recursive equal-mass partition into n cells of mass 1/n.
+def partition(mu: TargetMeasure, n: int) -> List[Restriction]:
+    """The measure's restrictions to n closed rectangles of mass 1/n each, by
+    axis-recursive equal-mass splits, in row-major order of their split indices
+    (at n = l^dim, cell i's are np.unravel_index(i, (l,) * dim)).
 
     A remainder owed c cells, with r axes still to split, splits into
     side_count(c, r) strips; strip h takes c // (strips - h) of the cells still
@@ -94,13 +97,14 @@ def partition(mu: TargetMeasure, n: int) -> MassPartition:
                 c -= take
             new_cells.append((remainder, c))
         cells = new_cells
-    return MassPartition(cells=[cell for cell, _ in cells], dim=dim)
+    return [cell for cell, _ in cells]
 
 
-def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
+def select_representatives(cells: List[Restriction], kernel: Optional[Kernel] = None,
                            strategy: str = "hybrid", k: int = 32,
-                           seed: int = 0) -> MassPartition:
-    """Fill in part.points, one representative per cell (in place; also returned).
+                           seed: int = 0) -> QuantizeResult:
+    """One representative per cell, in cell order; every draw comes from one
+    np.random.default_rng(seed), a round of all the cells at a time.
 
     conditional-mean: the cell mean (for products of quantile functions, the
     Gauss-rule mean), clipped into the closed cell.
@@ -114,26 +118,23 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
         raise ValidationError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if strategy != "conditional-mean" and kernel is None:
         raise ValidationError(f"strategy {strategy!r} needs a kernel")
-    if kernel is not None and kernel.dim != part.dim:
+    if kernel is not None and kernel.dim != cells[0].dim:
         raise ValidationError("kernel dimension does not match the partition")
     if strategy != "conditional-mean" and k < 1:
         raise ValidationError(f"strategy {strategy!r} needs k >= 1, got {k}")
 
-    cells = part.cells
-    m = len(cells)
+    m, dim = len(cells), cells[0].dim
 
     if strategy == "conditional-mean" or m == 1:
-        part.points = np.array([np.clip(cell.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
-                                for cell in cells])
-        stats = _energy_stats(part.points, kernel) if kernel is not None else (None,) * 3
-        part.selection = SelectionInfo(achieved_G=stats[0], diameter=stats[2])
-        return part
+        points = np.array([np.clip(cell.mean_point(), cell.rect[:, 0], cell.rect[:, 1])
+                           for cell in cells])
+        stats = _energy_stats(points, kernel) if kernel is not None else (None,) * 3
+        return QuantizeResult(Configuration(points), SelectionInfo(*stats))
 
     rng = np.random.default_rng(seed)
-    streams = rng.spawn(m)
     tuples = 1 if strategy == "hybrid" else k
     for _ in range(k):
-        draws = cells[0].sample_cells(cells, streams, tuples)
+        draws = cells[0].sample_cells(cells, rng, tuples)
         stats = _on_workers(lambda points: _energy_stats(points, kernel), draws)
         values = np.array([value for value, _, _ in stats])
         finite = np.isfinite(values)
@@ -164,10 +165,10 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for s in list(range(0, m, step)) * SWEEPS:
-                if s == 0:  # a sweep starts: one fresh candidate per cell, from its stream
-                    ys = cells[0].sample_cells(cells, streams, 1)[0]
+                if s == 0:  # a sweep starts: one fresh candidate per cell
+                    ys = cells[0].sample_cells(cells, rng, 1)[0]
                 # rows best[i], ys[i] of the chunk's cells i; cols best, then their ys
-                chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, part.dim)
+                chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, dim)
                 _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]), fill)
                 for i in range(s, s + len(chunk) // 2):
                     a = 2 * (i - s)  # cell i's rows; its own column goes, as potential_grid's
@@ -180,25 +181,8 @@ def select_representatives(part: MassPartition, kernel: Optional[Kernel] = None,
                         grid[a + 2:, i] = grid[a + 2:, m - s + i]  # later cells see the move
         stats = _energy_stats(best_points, kernel)
 
-    part.points = best_points
-    part.selection = SelectionInfo(achieved_G=stats[0], diameter=stats[2],
-                                   bound_estimate=bound_estimate,
-                                   bound_stderr=bound_stderr,
-                                   greedy_improvements=improvements)
-    return part
-
-
-@dataclass(frozen=True)
-class QuantizeResult:
-    config: Configuration
-    selection: SelectionInfo
-
-    def sidecar(self) -> dict:
-        return {
-            "achieved_G": self.selection.achieved_G,
-            "bound_estimate": self.selection.bound_estimate,
-            "bound_stderr": self.selection.bound_stderr,
-        }
+    return QuantizeResult(Configuration(best_points),
+                          SelectionInfo(*stats, bound_estimate, bound_stderr, improvements))
 
 
 def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,
@@ -206,7 +190,4 @@ def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,
     """Partition the measure into n cells and select one representative each."""
     if kernel is None and strategy in STRATEGIES:
         strategy = "conditional-mean"
-    part = partition(mu, n)
-    select_representatives(part, kernel, strategy=strategy, k=k, seed=seed)
-    return QuantizeResult(config=Configuration(part.representatives()),
-                          selection=part.selection)
+    return select_representatives(partition(mu, n), kernel, strategy=strategy, k=k, seed=seed)

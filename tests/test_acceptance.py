@@ -194,12 +194,12 @@ def test_08_quantizer_mass_and_containment():
     kernel2 = PowerLawKernel(1, 2, dim=2)
     cloud = AtomicMeasure(rng.normal(size=(10_000, 2)))
     for mu, n in ((UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 100), (cloud, 77)):
-        part = partition(mu, n)
+        cells = partition(mu, n)
         expected = 1.0 / n
-        for cell in part.cells:
+        for cell in cells:
             assert abs(cell.mass - expected) <= 1e-9
-        select_representatives(part, kernel2, strategy="hybrid", k=16, seed=88)
-        for cell, point in zip(part.cells, part.representatives()):
+        result = select_representatives(cells, kernel2, strategy="hybrid", k=16, seed=88)
+        for cell, point in zip(cells, result.config.points):
             assert np.all(point >= cell.rect[:, 0])
             assert np.all(point <= cell.rect[:, 1])
         first = quantize(mu, n, kernel2, seed=99)

@@ -42,8 +42,8 @@ def test_descend_reports_its_iteration_count_at_index_3():
 
 
 def test_greedy_improvements_is_an_int():
-    part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
-    selected = select_representatives(part, PowerLawKernel(1, 2, dim=2), strategy="hybrid",
+    cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
+    selected = select_representatives(cells, PowerLawKernel(1, 2, dim=2), strategy="hybrid",
                                       k=4, seed=1)
     assert isinstance(selected.selection.greedy_improvements, int)
 

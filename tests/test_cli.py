@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from rieszmin import minimizer
+from rieszmin import discrete_energy, energy, minimizer
 from rieszmin.cli import _minimize_settings, _settings, main
 from rieszmin.diagnostics import cluster_classify, gamma_trace
 from rieszmin.energy import load_configuration_csv
@@ -82,8 +82,9 @@ class TestQuantize:
         loaded = load_configuration_csv(out / "quantized.csv")
         assert loaded.n == 100
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("strategy", ["hybrid", "best-of-k"])
+    def test_rerun_is_byte_identical(self, tmp_path, strategy):
+        cfg = write_config(tmp_path, quantize={"strategy": strategy})
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["quantize", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["quantize", "--config", cfg, "--out", str(out2)]) == 0
@@ -92,14 +93,28 @@ class TestQuantize:
 
     @pytest.mark.parametrize("strategy", ["conditional-mean", "best-of-k", "hybrid"])
     def test_sidecar_scores_the_emitted_points(self, tmp_path, strategy):
-        """At a non-square n every selected point is emitted, so achieved_G is
-        the emitted configuration's energy, bit for bit."""
+        """At a non-square n every selected point is emitted, so achieved_G and the
+        energy block are the emitted configuration's energy, bit for bit."""
         cfg = write_config(tmp_path, n=10, quantize={"strategy": strategy})
         out = tmp_path / "out"
         assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
         payload = result_payload(out / "quantize.json")
-        assert payload["achieved_G"] == payload["energy"]["value"]
+        kernel = PowerLawKernel(1, 2, dim=2)  # write_config's
+        fresh = discrete_energy(load_configuration_csv(out / "quantized.csv"), kernel)
+        assert payload["achieved_G"] == payload["energy"]["value"] == fresh.value
+        assert payload["energy"] == fresh.as_dict()
         assert "l" not in payload and "dropped" not in payload
+
+    @pytest.mark.parametrize("strategy, passes", [
+        ("conditional-mean", 1), ("best-of-k", 4), ("hybrid", 2)])
+    def test_energy_comes_from_the_selections_last_pass(self, tmp_path, strategy, passes):
+        """The energy block reuses the selection's pair pass: one per tuple, and for
+        hybrid one more after its sweeps; none is made again for the report."""
+        cfg = write_config(tmp_path, quantize={"strategy": strategy, "k": 4})
+        with mock.patch.object(energy, "pair_interaction_sum",
+                               wraps=energy.pair_interaction_sum) as spy:
+            assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert spy.call_count == passes
 
     def test_no_kernel_means_no_energy(self, tmp_path):
         cfg = write_config(tmp_path, n=10)
@@ -775,14 +790,15 @@ class TestThreads:
         assert err.startswith("error: ") and err.count("\n") == 1 and "--threads" in err
 
     # n = 300 and 400 points make every pair pass span more than one block
-    @pytest.mark.parametrize("command, files", [
-        ("quantize", ["quantized.csv", "quantize.json"]),
-        ("minimize", ["minimized.csv", "history.csv", "minimize.json"]),
-        ("trace", ["trace.csv", "trace.json"]),
-        ("diagnose", ["diagnose.json"]),
+    @pytest.mark.parametrize("command, files, strategy", [
+        ("quantize", ["quantized.csv", "quantize.json"], "hybrid"),
+        ("quantize", ["quantized.csv", "quantize.json"], "best-of-k"),
+        ("minimize", ["minimized.csv", "history.csv", "minimize.json"], "hybrid"),
+        ("trace", ["trace.csv", "trace.json"], "hybrid"),
+        ("diagnose", ["diagnose.json"], "hybrid"),
     ])
-    def test_outputs_do_not_depend_on_threads(self, tmp_path, command, files):
-        cfg = write_config(tmp_path, n=300, n_list=[300], quantize={"k": 4},
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, command, files, strategy):
+        cfg = write_config(tmp_path, n=300, n_list=[300], quantize={"k": 4, "strategy": strategy},
                            minimize={"restarts": 1, "max_iters": 20},
                            trace={"k": 4, "mc_samples": 20000})
         args = [command, "--config", cfg]

@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from rieszmin import (
+    AtomicMeasure,
     Configuration,
     MorseKernel,
     OptimizationError,
@@ -126,12 +127,70 @@ class TestMinimize:
         assert discrete_energy(res.config, k).min_pair_distance > 0
 
     def test_restarts_used_counts_only_completed_restarts(self):
-        # restart 0 starts on the coincident pair (energy +inf) and is dropped
-        k = PowerLawKernel(-0.5, 2, dim=2)
+        # restart 0 breaks down (no result) and is dropped
+        real, calls = minimizer._descend, []
+
+        def first_breaks_down(*args):
+            calls.append(args)
+            return None if len(calls) == 1 else real(*args)
+
+        settings = MinimizeSettings(restarts=3, max_iters=50)
+        with mock.patch.object(minimizer, "_descend", first_breaks_down):
+            res = minimize(PowerLawKernel(-0.5, 2, dim=2), 4, 2, settings)
+        assert len(calls) == 3 and res.restarts_used == 2
+
+
+def descend_spy():
+    """A stand-in for _descend that records each start and outcome, and the list they go in."""
+    real, runs = minimizer._descend, []
+
+    def spy(points, *args):
+        runs.append((points.copy(), real(points, *args)))
+        return runs[-1][1]
+
+    return spy, runs
+
+
+class TestSeededStart:
+    """Restart 0 starts at the quantized or user points, with the repeats of a point
+    moved a little apart, so that its gradient is defined."""
+
+    def test_a_repeated_user_point_is_moved_apart(self):
         start = Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         settings = MinimizeSettings(restarts=3, max_iters=50,
                                     init=InitSpec(kind="user", config=start))
-        assert minimize(k, 4, 2, settings).restarts_used == 2
+        spy, runs = descend_spy()
+        with mock.patch.object(minimizer, "_descend", spy):
+            res = minimize(PowerLawKernel(-0.5, 2, dim=2), 4, 2, settings)
+        first = runs[0][0]
+        assert res.restarts_used == 3 and all(outcome is not None for _, outcome in runs)
+        assert first[[0, 2, 3]].tobytes() == start.points[[0, 2, 3]].tobytes()
+        assert 0.0 < np.linalg.norm(first[1]) < 1e-2
+
+    def test_distinct_user_points_are_the_start_exactly(self):
+        start = Configuration(np.random.default_rng(2).normal(size=(6, 2)))
+        settings = MinimizeSettings(restarts=2, max_iters=5,
+                                    init=InitSpec(kind="user", config=start))
+        spy, runs = descend_spy()
+        with mock.patch.object(minimizer, "_descend", spy):
+            minimize(PL2, 6, 2, settings)
+        assert runs[0][0].tobytes() == start.points.tobytes()
+
+    def test_quantizer_seeded_from_fewer_atoms_than_points(self):
+        """Eight cells of a five-atom cloud share atoms, so the quantized points repeat."""
+        cloud = AtomicMeasure(np.random.default_rng(5).normal(size=(5, 2)))
+        assert len(np.unique(quantize(cloud, 8, PL2).config.points, axis=0)) < 8
+        settings = MinimizeSettings(restarts=2, max_iters=100,
+                                    init=InitSpec(kind="quantizer-seeded", measure=cloud))
+        assert minimize(PL2, 8, 2, settings).restarts_used == 2
+
+    def test_no_restart_breaks_down_along_a_trace(self):
+        """Each n after the first quantizes the previous minimizer's fewer points."""
+        spy, runs = descend_spy()
+        with mock.patch.object(minimizer, "_descend", spy):
+            energy_trace(PL2, 2, [8, 12, 20],
+                         MinimizeSettings(restarts=3, max_iters=200, seed=1))
+        assert len(runs) == 9 and all(outcome is not None for _, outcome in runs)
 
 
     @pytest.mark.parametrize("n", [1, 2, 7])

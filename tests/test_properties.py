@@ -511,14 +511,14 @@ def test_partition_cells_of_tied_atom_clouds_have_exact_masses(n, dim, atoms, le
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, levels, size=(atoms, dim)).astype(float)
     weights = rng.uniform(0.1, 1.0, size=atoms)
-    part = partition(AtomicMeasure(pts, weights / weights.sum()), n)
-    assert len(part.cells) == n
-    for cell in part.cells:
+    cells = partition(AtomicMeasure(pts, weights / weights.sum()), n)
+    assert len(cells) == n
+    for cell in cells:
         assert abs(cell.mass - 1.0 / n) <= 1e-12
         assert abs(cell.weights.sum() - 1.0 / n) <= 1e-12
     # the cells come in row-major order of their split indices
     strip_bounds = {}
-    for index, cell in zip(split_indices(n, dim), part.cells):
+    for index, cell in zip(split_indices(n, dim), cells):
         for axis in range(dim):
             bounds = strip_bounds.setdefault(index[:axis + 1], cell.rect[axis])
             assert np.array_equal(bounds, cell.rect[axis])  # one strip, one pair of bounds
@@ -584,37 +584,44 @@ MARGINALS = {"tan": lambda u: np.tan(np.pi * (u - 0.5)), "log1p": lambda u: -np.
 @given(dim=st.integers(1, 3), n=st.integers(1, 300), count=st.sampled_from([1, 32]),
        seed=st.integers(0, 2**32 - 1), marginal=st.sampled_from(["uniform", "tan", "log1p"]))
 @example(dim=2, n=256, count=32, seed=0, marginal="tan")
-def test_batched_cell_draws_are_each_cells_own_draws(dim, n, count, seed, marginal):
-    """Drawing a partition's cells with one quantile call per axis gives, byte for byte,
-    each cell's own draws from its own stream, and the per-axis rng.uniform reference,
-    for the uniform box and for Cauchy and Exp(1) marginals."""
+def test_batched_cell_draws_are_the_quantiles_of_one_uniform_draw(dim, n, count, seed, marginal):
+    """Drawing a partition's cells gives, byte for byte, each axis's quantile of
+    lo + (hi - lo) u for the cell's CDF interval [lo, hi], with u the cell's slice of a
+    twin generator's random((dim, m, count)), and leaves the generator where the twin is,
+    for the uniform box and for Cauchy and Exp(1) marginals.  One cell's batch is
+    ProductRestriction.sample."""
     if marginal == "uniform":
         mu = UniformBoxMeasure([-1.0, 0.0, 2.0][:dim], [0.5, 3.0, 2.25][:dim])
     else:
         mu = ProductQuantileMeasure([MARGINALS[marginal]] * dim)
-    cells = partition(mu, n).cells
-    streams = [np.random.default_rng(seed).spawn(n) for _ in range(3)]
-    batched = cells[0].sample_cells(cells, streams[0], count)
-    per_cell = np.stack([c.sample(count, r) for c, r in zip(cells, streams[1])], axis=1)
-    reference = np.stack([per_axis_sample(c, count, r) for c, r in zip(cells, streams[2])],
-                         axis=1)
+    cells = partition(mu, n)
+    got, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = cells[0].sample_cells(cells, got, count)
+    u = twin.random((dim, n, count))
+    reference = np.stack([np.column_stack([cell._q(axis, lo + (hi - lo) * u[axis, i])
+                                           for axis, (lo, hi) in enumerate(cell.u_rect)])
+                          for i, cell in enumerate(cells)], axis=1)
     assert batched.shape == (count, n, dim)
-    assert batched.tobytes() == per_cell.tobytes() == reference.tobytes()
-    assert [r.random() for r in streams[0]] == [r.random() for r in streams[2]]
+    assert batched.tobytes() == reference.tobytes()
+    assert got.random() == twin.random()
+    one, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = cells[-1].sample_cells(cells[-1:], one, count)[:, 0]
+    assert drawn.tobytes() == cells[-1].sample(count, twin).tobytes()
+    assert one.random() == twin.random()
 
 
 @pytest.mark.parametrize("count", [1, 32])
 def test_atom_cloud_cells_are_drawn_one_by_one(count):
     """An atom cloud's restrictions keep the per-cell loop: column i of the batch is
-    cells[i].sample(count, streams[i])."""
+    cells[i].sample(count, rng), the cells drawn in order from the one generator."""
     mu = AtomicMeasure(np.random.default_rng(3).normal(size=(500, 2)))
-    cells = partition(mu, 25).cells
+    cells = partition(mu, 25)
     assert type(cells[0]).sample_cells.__func__ is Restriction.sample_cells.__func__
-    batched = cells[0].sample_cells(cells, np.random.default_rng(4).spawn(25), count)
-    streams = np.random.default_rng(4).spawn(25)
-    per_cell = np.stack([c.sample(count, r) for c, r in zip(cells, streams)], axis=1)
+    got, twin = np.random.default_rng(4), np.random.default_rng(4)
+    batched = cells[0].sample_cells(cells, got, count)
+    per_cell = np.stack([c.sample(count, twin) for c in cells], axis=1)
     assert batched.shape == (count, 25, 2) and batched.tobytes() == per_cell.tobytes()
-
+    assert got.random() == twin.random()
 
 
 def whole(lo, hi):

@@ -40,63 +40,61 @@ class TestSideCount:
 
 class TestPartition:
     def test_uniform_square_quarters(self):
-        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 4)
-        assert len(part.cells) == 4
+        cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 4)
+        assert len(cells) == 4
         # row-major split indices (0, 0), (0, 1), (1, 0), (1, 1), read off the lower corners
-        lower = [tuple(c.rect[:, 0]) for c in part.cells]
+        lower = [tuple(c.rect[:, 0]) for c in cells]
         assert lower == [(-math.inf, -math.inf), (-math.inf, 0.5), (0.5, -math.inf), (0.5, 0.5)]
-        for cell in part.cells:
+        for cell in cells:
             assert cell.mass == pytest.approx(0.25, abs=1e-12)
         # interior thresholds at 0.5 on both axes
-        assert part.cells[0].rect[0, 1] == pytest.approx(0.5)
-        assert part.cells[0].rect[1, 1] == pytest.approx(0.5)
+        assert cells[0].rect[0, 1] == pytest.approx(0.5)
+        assert cells[0].rect[1, 1] == pytest.approx(0.5)
 
     def test_single_cell_covers_everything(self):
-        part = partition(UniformBoxMeasure([0.0], [1.0]), 1)
-        assert len(part.cells) == 1
-        assert part.cells[0].mass == 1.0
-        assert part.cells[0].rect[0, 0] == -math.inf
-        assert part.cells[0].rect[0, 1] == math.inf
+        cells = partition(UniformBoxMeasure([0.0], [1.0]), 1)
+        assert len(cells) == 1
+        assert cells[0].mass == 1.0
+        assert cells[0].rect[0, 0] == -math.inf
+        assert cells[0].rect[0, 1] == math.inf
 
     def test_cloud_cells_have_exact_masses(self):
         rng = np.random.default_rng(1)
         mu = AtomicMeasure(rng.normal(size=(5000, 2)))
-        part = partition(mu, 9)
-        masses = np.array([c.mass for c in part.cells])
+        cells = partition(mu, 9)
+        masses = np.array([c.mass for c in cells])
         assert abs(masses.sum() - 1.0) <= 1e-12
         assert np.max(np.abs(masses - 1.0 / 9.0)) <= 1e-9
         # the restriction weights back the bookkept mass
-        for cell in part.cells:
+        for cell in cells:
             assert cell.weights.sum() == pytest.approx(cell.mass, abs=1e-12)
 
     def test_atom_heavy_cloud_splits_fractionally(self):
         # half the mass sits on a single repeated location
         pts = np.vstack([np.zeros((5, 1)), np.arange(1.0, 6.0).reshape(-1, 1)])
         mu = AtomicMeasure(pts)
-        part = partition(mu, 4)
-        masses = [c.mass for c in part.cells]
+        masses = [c.mass for c in partition(mu, 4)]
         assert np.allclose(masses, 0.25, atol=1e-12)
 
 
 class TestSelectRepresentatives:
     def test_single_cell_mean(self):
-        part = partition(UniformBoxMeasure([0.0], [1.0]), 1)
-        select_representatives(part, PL1, strategy="conditional-mean")
-        assert part.representatives()[0][0] == pytest.approx(0.5, abs=1e-12)
-        assert part.selection.achieved_G == 0.0
+        result = select_representatives(partition(UniformBoxMeasure([0.0], [1.0]), 1), PL1,
+                                        strategy="conditional-mean")
+        assert result.config.points[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert result.selection.achieved_G == 0.0
 
     def test_conditional_means_of_uniform_quarters(self):
-        part = partition(UniformBoxMeasure([0.0], [1.0]), 4)
-        select_representatives(part, strategy="conditional-mean")
-        reps = part.representatives()[:, 0]
+        result = select_representatives(partition(UniformBoxMeasure([0.0], [1.0]), 4),
+                                        strategy="conditional-mean")
+        reps = result.config.points[:, 0]
         assert np.allclose(reps, [0.125, 0.375, 0.625, 0.875], atol=1e-12)
 
     def test_best_of_k_beats_the_sampled_mean(self):
         mu = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0])
         k2 = PowerLawKernel(1, 2, dim=2)
-        part = partition(mu, 16)
-        select_representatives(part, k2, strategy="best-of-k", k=64, seed=3)
-        sel = part.selection
+        sel = select_representatives(partition(mu, 16), k2, strategy="best-of-k", k=64,
+                                     seed=3).selection
         assert sel.achieved_G <= sel.bound_estimate + 1e-12
 
     def test_containment_in_closed_cells(self):
@@ -104,15 +102,15 @@ class TestSelectRepresentatives:
         mu = AtomicMeasure(rng.normal(size=(2000, 2)))
         k2 = PowerLawKernel(1, 2, dim=2)
         for strategy in ("conditional-mean", "best-of-k", "hybrid"):
-            part = partition(mu, 25)
-            select_representatives(part, k2, strategy=strategy, k=8, seed=5)
-            for cell, point in zip(part.cells, part.representatives()):
+            cells = partition(mu, 25)
+            result = select_representatives(cells, k2, strategy=strategy, k=8, seed=5)
+            for cell, point in zip(cells, result.config.points):
                 assert np.all(point >= cell.rect[:, 0])
                 assert np.all(point <= cell.rect[:, 1])
 
     def test_a_round_of_infinite_tuples_is_drawn_again(self):
         """When every tuple of a round has a non-finite pair sum, best-of-k draws a
-        second round from the same streams and selects from it alone: the bound is
+        second round from the same generator and selects from it alone: the bound is
         the mean and standard error of that round's k values."""
         mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
         k, seed = 4, 9
@@ -122,19 +120,18 @@ class TestSelectRepresentatives:
             calls.append((points.copy(), real(points, kern)[0]))
             return (math.inf,) * 3 if len(calls) <= k else real(points, kern)
 
-        part = partition(mu, 16)
+        cells = partition(mu, 16)
         with mock.patch.object(quantizer, "_energy_stats", first_round_infinite):
-            sel = select_representatives(part, kernel, "best-of-k", k=k, seed=seed).selection
+            result = select_representatives(cells, kernel, "best-of-k", k=k, seed=seed)
+        sel = result.selection
         assert len(calls) == 2 * k
-        streams = np.random.default_rng(seed).spawn(len(part.cells))
-        second = np.empty((k, len(part.cells), 2))
-        for i, (cell, stream) in enumerate(zip(part.cells, streams)):
-            cell.sample(k, stream)  # round one's draws
-            second[:, i] = cell.sample(k, stream)
+        rng = np.random.default_rng(seed)
+        cells[0].sample_cells(cells, rng, k)  # round one's draws
+        second = cells[0].sample_cells(cells, rng, k)
         assert all(np.array_equal(points, want) for (points, _), want in zip(calls[k:], second))
         values = np.array([value for _, value in calls[k:]])
         j = int(np.argmin(values))
-        assert part.representatives().tobytes() == second[j].tobytes()
+        assert result.config.points.tobytes() == second[j].tobytes()
         assert sel.achieved_G == values[j]
         assert sel.bound_estimate == float(np.mean(values))
         assert sel.bound_stderr == float(np.std(values, ddof=1) / math.sqrt(k))
@@ -154,8 +151,8 @@ class TestSelectRepresentatives:
     def test_one_value_has_no_standard_error(self, strategy, k):
         """Hybrid's bound is its first tuple's pair sum, and best-of-k with k = 1 has one
         tuple too: one value gives no standard error, not a made-up 0."""
-        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
-        sel = select_representatives(part, PowerLawKernel(1, 2, dim=2), strategy, k=k,
+        cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
+        sel = select_representatives(cells, PowerLawKernel(1, 2, dim=2), strategy, k=k,
                                      seed=3).selection
         assert sel.bound_stderr is None and math.isfinite(sel.bound_estimate)
 
@@ -175,7 +172,7 @@ class TestSelectRepresentatives:
         assert sel.diameter == calls[2][2] and sel.bound_stderr is None
 
     def test_hybrid_draws_an_infinite_first_tuple_again(self):
-        """A first tuple with a non-finite pair sum is drawn again from the same streams;
+        """A first tuple with a non-finite pair sum is drawn again from the same generator;
         the sweeps start from the second, whose pair sum is the bound."""
         mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
         real, calls = quantizer._energy_stats, []
@@ -184,17 +181,17 @@ class TestSelectRepresentatives:
             calls.append(points.copy())
             return (math.inf,) * 3 if len(calls) == 1 else real(points, kern)
 
-        part = partition(mu, 16)
+        cells = partition(mu, 16)
         with mock.patch.object(quantizer, "_energy_stats", first_infinite):
-            sel = select_representatives(part, kernel, "hybrid", k=4, seed=5).selection
+            result = select_representatives(cells, kernel, "hybrid", k=4, seed=5)
+        sel = result.selection
         assert len(calls) == 3  # two draws and the final pass
-        streams = np.random.default_rng(5).spawn(len(part.cells))
-        draws = [np.array([c.sample(1, r)[0] for c, r in zip(part.cells, streams)])
-                 for _ in range(2)]
+        rng = np.random.default_rng(5)
+        draws = [cells[0].sample_cells(cells, rng, 1)[0] for _ in range(2)]
         assert calls[0].tobytes() == draws[0].tobytes()
         assert calls[1].tobytes() == draws[1].tobytes()
         assert sel.bound_estimate == real(draws[1], kernel)[0] and sel.bound_stderr is None
-        assert sel.achieved_G == real(part.representatives(), kernel)[0] <= sel.bound_estimate
+        assert sel.achieved_G == real(result.config.points, kernel)[0] <= sel.bound_estimate
 
     def test_hybrid_beats_best_of_k_at_the_same_k(self):
         """One draw and SWEEPS greedy sweeps reach a lower pair sum than the best of 32
@@ -206,9 +203,9 @@ class TestSelectRepresentatives:
             assert hybrid.achieved_G < best.achieved_G
 
     def test_unknown_strategy_rejected(self):
-        part = partition(UniformBoxMeasure([0.0], [1.0]), 2)
         with pytest.raises(ValidationError):
-            select_representatives(part, PL1, strategy="annealing")
+            select_representatives(partition(UniformBoxMeasure([0.0], [1.0]), 2), PL1,
+                                   strategy="annealing")
 
     @pytest.mark.parametrize("kernel", [PL1, None])
     def test_quantize_rejects_an_unknown_strategy_with_or_without_a_kernel(self, kernel):
@@ -216,19 +213,18 @@ class TestSelectRepresentatives:
             quantize(UniformBoxMeasure([0.0], [1.0]), 2, kernel, strategy="annealing")
 
 
-def reference_hybrid(part, kernel, seed):
+def reference_hybrid(cells, kernel, seed):
     """Hybrid selection with each greedy sweep as one potential_grid call per cell over the
     others: one tuple from the product of the cell measures (its pair sum finite here), then
-    SWEEPS sweeps, each trying the next draw from each cell's stream."""
-    m = len(part.cells)
-    streams = np.random.default_rng(seed).spawn(m)
-    best = np.array([cell.sample(1, stream)[0] for cell, stream in zip(part.cells, streams)])
+    SWEEPS sweeps, each trying one fresh draw per cell; every round of draws comes from one
+    generator, in the selection's order."""
+    m, rng = len(cells), np.random.default_rng(seed)
+    best = cells[0].sample_cells(cells, rng, 1)[0]
     first, improvements = _energy_stats(best, kernel)[0], 0
     assert math.isfinite(first)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(quantizer.SWEEPS):
-            for i, (cell, stream) in enumerate(zip(part.cells, streams)):
-                y = cell.sample(1, stream)[0]
+            for i, y in enumerate(cells[0].sample_cells(cells, rng, 1)[0]):
                 old, new = potential_grid(np.delete(best, i, axis=0), 1.0, kernel,
                                           np.stack([best[i], y]))
                 delta = 2.0 * (new - old) / m**2
@@ -260,7 +256,7 @@ class TestGreedySweep:
         one probe in the last case)."""
         g = SWEEP_KERNELS[kernel](dim)
         mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
-        m = len(partition(mu, n).cells)
+        m = len(partition(mu, n))
         sizes = {"one-short": 2 * (m + 1) * (2 * m + 1), "one-exact": 4 * m * m,
                  "ragged": 8 * (m + 4), "ragged-row-blocks": 8 * (m + 4)}
         want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 7)
@@ -274,9 +270,9 @@ class TestGreedySweep:
                         mock.patch.object(energy, "_BLOCK_ELEMENTS", block), \
                         mock.patch.object(energy.os, "cpu_count", return_value=count), \
                         energy.worker_threads(count):
-                    part = select_representatives(partition(mu, n), g, "hybrid", k=4, seed=7)
-                sel = part.selection
-                assert part.representatives().tobytes() == want.tobytes()
+                    result = select_representatives(partition(mu, n), g, "hybrid", k=4, seed=7)
+                sel = result.selection
+                assert result.config.points.tobytes() == want.tobytes()
                 assert sel.greedy_improvements == improvements
                 assert sel.achieved_G == achieved and sel.bound_estimate == bound
         finally:
@@ -292,7 +288,7 @@ class TestGreedySweep:
         workers."""
         g = SWEEP_KERNELS[kernel](dim)
         mu = UniformBoxMeasure([0.0] * dim, [1.0] * dim)
-        m = len(partition(mu, n).cells)
+        m = len(partition(mu, n))
         want, improvements, achieved, bound = reference_hybrid(partition(mu, n), g, 7)
         real, blocks = quantizer._pair_pass, []
 
@@ -311,9 +307,9 @@ class TestGreedySweep:
                         mock.patch.object(quantizer, "_pair_pass", counting), \
                         mock.patch.object(energy.os, "cpu_count", return_value=count), \
                         energy.worker_threads(count):
-                    part = select_representatives(partition(mu, n), g, "hybrid", k=4, seed=7)
-                sel = part.selection
-                assert part.representatives().tobytes() == want.tobytes()
+                    result = select_representatives(partition(mu, n), g, "hybrid", k=4, seed=7)
+                sel = result.selection
+                assert result.config.points.tobytes() == want.tobytes()
                 assert sel.greedy_improvements == improvements
                 assert sel.achieved_G == achieved and sel.bound_estimate == bound
                 chunks = -(-m // 7)  # per sweep
@@ -327,8 +323,8 @@ class TestGreedySweep:
         """A hybrid selection makes one tuple pass, one pass per chunk of each of its
         SWEEPS sweeps and one final energy pass, not one pass per cell; a chunk is two
         blocks."""
-        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 1024)
-        m, k = len(part.cells), 2
+        cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 1024)
+        m, k = len(cells), 2
         chunk = max(c for c in range(1, m + 1) if 2 * c * (m + c) <= 2 * energy._BLOCK_ELEMENTS)
         real, passes = energy._pair_pass, []
 
@@ -338,7 +334,7 @@ class TestGreedySweep:
 
         with mock.patch.object(energy, "_pair_pass", counting), \
                 mock.patch.object(quantizer, "_pair_pass", counting):
-            select_representatives(part, PowerLawKernel(1, 2, dim=2), strategy="hybrid", k=k)
+            select_representatives(cells, PowerLawKernel(1, 2, dim=2), strategy="hybrid", k=k)
         assert chunk < m and len(passes) <= 1 + quantizer.SWEEPS * -(-m // chunk) + 1
 
 
@@ -349,9 +345,9 @@ class TestQuantize:
         assert result.config.n == 16
 
     def test_non_square_n_gives_n_cells_of_mass_one_over_n(self):
-        part = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 10)
-        assert len(part.cells) == 10
-        for cell in part.cells:
+        cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 10)
+        assert len(cells) == 10
+        for cell in cells:
             assert cell.mass == pytest.approx(0.1, abs=1e-12)
         result = quantize(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 10,
                           strategy="conditional-mean")
@@ -376,7 +372,7 @@ class TestQuantize:
         the Gauss-rule mean is finite there, and clipped into the cell."""
         mu = ProductQuantileMeasure([lambda u: np.tan(np.pi * (u - 0.5))])
         points = quantize(mu, n, strategy="conditional-mean").config.points
-        cells = partition(mu, n).cells
+        cells = partition(mu, n)
         assert cells[0].rect[0, 0] == -math.inf and cells[-1].rect[0, 1] == math.inf
         assert np.all(np.isfinite(points))
         for point, cell in zip(points, cells):
