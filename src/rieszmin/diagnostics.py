@@ -19,6 +19,7 @@ from .energy import (
     Configuration,
     EnergyValue,
     _canonical_order,
+    _check_kernel_dim,
     _on_workers,
     _pair_pass,
     _potentials,
@@ -68,8 +69,7 @@ def el_residual(cfg: Configuration, kernel: Kernel, seed: int = 0) -> ELReport:
     report the smallest exterior gap potential(probe) - energy; ``seed``
     draws their directions.
     """
-    if kernel.dim != cfg.dim:
-        raise ValidationError("kernel and configuration dimensions differ")
+    _check_kernel_dim(kernel, cfg.dim)
     pts = cfg.points
     n = cfg.n
     row_sums, order, lo, hi = _potentials(pts, kernel)

@@ -111,7 +111,7 @@ def worker_threads(count: int):
     """Run the tasks of _on_workers calls made in the with-block on this thread on
     ``count`` worker threads, at most one per core; results are the same for any count.
     The pool starts with the first call that has two tasks or more: the blocks of a
-    pass (two per greedy-sweep chunk), best-of-k's tuples or bl_distance's slices."""
+    pass (two per greedy-sweep chunk) or bl_distance's slices."""
     count = min(count, os.cpu_count() or 1)
     pools = []
 
@@ -133,8 +133,8 @@ def worker_threads(count: int):
 
 def _on_workers(task, *args) -> list:
     """[task(*a) for a in zip(*args)] in order, on the worker_threads block's threads for two tasks
-    or more (pass blocks, best-of-k tuples, BL slices), each under the caller's np.errstate (a
-    worker inherits neither it nor the pool)."""
+    or more (pass blocks, BL slices), each under the caller's np.errstate (a worker inherits
+    neither it nor the pool)."""
     errstate, pool = np.geterr(), _POOL.get()
 
     def run(*a):
@@ -146,9 +146,10 @@ def _on_workers(task, *args) -> list:
 
 def _scratch(name: str, shape: tuple) -> np.ndarray:
     """This thread's buffer ``name`` as a C-contiguous array of ``shape``; it
-    grows to the largest block yet, never below _BLOCK_ELEMENTS, and is kept."""
+    grows to the largest block yet, never below _BLOCK_ELEMENTS, and is kept; a
+    thread's first pass makes it even for an empty block."""
     size = math.prod(shape)
-    if len(getattr(_SCRATCH, name, ())) < size:
+    if len(getattr(_SCRATCH, name, ())) < max(size, 1):
         setattr(_SCRATCH, name, np.empty(max(size, _BLOCK_ELEMENTS)))
     return getattr(_SCRATCH, name)[:size].reshape(shape)
 

@@ -12,7 +12,8 @@ Two exact backends cover everything:
 
 Densities on a box and uniform balls are backed by a fine-grid atom cloud
 built once at construction (the grid resolution is the declared accuracy of
-that surrogate); their global samplers stay exact or jittered-smooth.  Point
+that surrogate); their draws spread atoms over their grid cells (_jitter), but
+the ball's global sampler is exact.  Point
 arrays (atom clouds and configurations) pass one validator, _as_points, and
 box corners another, _box.
 """
@@ -66,6 +67,18 @@ def _full_rect(dim: int) -> np.ndarray:
     return np.array([_FULL] * dim, dtype=float)
 
 
+def _jitter(points: np.ndarray, steps: Optional[np.ndarray], rng: np.random.Generator,
+            rect: np.ndarray) -> np.ndarray:
+    """Drawn atoms of a grid surrogate, each moved uniformly over its grid cell (widths
+    ``steps``, centred on the atom) cut to the closed ``rect``, which holds the atoms;
+    the atoms of a true cloud (steps None) as they are."""
+    if steps is None:
+        return points
+    lo = np.maximum(-0.5, (rect[:, 0] - points) / steps)
+    hi = np.minimum(0.5, (rect[:, 1] - points) / steps)
+    return np.clip(points + rng.uniform(lo, hi) * steps, rect[:, 0], rect[:, 1])
+
+
 # ---------------------------------------------------------------------------
 # restrictions: the recursive handles the partition splits
 # ---------------------------------------------------------------------------
@@ -112,14 +125,16 @@ class Restriction(abc.ABC):
 
 
 class AtomicRestriction(Restriction):
-    """Weighted atoms inside a rectangle; splits carry fractional weights."""
+    """Weighted atoms inside a rectangle; splits carry fractional weights (and a grid
+    surrogate's ``steps``, for _jitter)."""
 
     def __init__(self, points: np.ndarray, weights: np.ndarray,
-                 rect: np.ndarray, mass: float):
+                 rect: np.ndarray, mass: float, steps: Optional[np.ndarray] = None):
         self.points = points
         self.weights = weights
         self.rect = rect
         self.mass = float(mass)
+        self.steps = steps
 
     def axis_threshold(self, axis: int, fraction: float) -> float:
         """Minimal t at which the renormalized axis-marginal CDF reaches
@@ -150,9 +165,10 @@ class AtomicRestriction(Restriction):
         rect_l, rect_r = self._split_rects(axis, t)
         keep_l = left_w > 0.0
         keep_r = right_w > 0.0
-        left = AtomicRestriction(self.points[keep_l], left_w[keep_l], rect_l, left_mass)
+        left = AtomicRestriction(self.points[keep_l], left_w[keep_l], rect_l, left_mass,
+                                 self.steps)
         right = AtomicRestriction(self.points[keep_r], right_w[keep_r], rect_r,
-                                  self.mass - left_mass)
+                                  self.mass - left_mass, self.steps)
         if left.points.shape[0] == 0 or right.points.shape[0] == 0:
             raise NumericalError(
                 f"degenerate split along axis {axis} at t={t}: a side came out empty"
@@ -162,7 +178,7 @@ class AtomicRestriction(Restriction):
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         p = self.weights / self.weights.sum()
         idx = rng.choice(len(p), size=count, p=p)
-        return self.points[idx]
+        return _jitter(self.points[idx], self.steps, rng, self.rect)
 
     def mean_point(self) -> np.ndarray:
         return (self.weights @ self.points) / self.weights.sum()
@@ -246,6 +262,8 @@ class TargetMeasure(abc.ABC):
 class AtomicMeasure(TargetMeasure):
     """A finite weighted atom cloud (empirical sample clouds, atom mixes)."""
 
+    _steps: Optional[np.ndarray] = None  # a grid surrogate's cell widths
+
     def __init__(self, points, weights=None):
         pts = _as_points(points, "atom positions")
         if pts.shape[0] < 1:
@@ -268,11 +286,11 @@ class AtomicMeasure(TargetMeasure):
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.weights), size=count, p=self.weights)
-        return self.points[idx]
+        return _jitter(self.points[idx], self._steps, rng, _full_rect(self.dim))
 
     def root_restriction(self) -> AtomicRestriction:
         return AtomicRestriction(self.points, self.weights.copy(),
-                                 _full_rect(self.dim), 1.0)
+                                 _full_rect(self.dim), 1.0, self._steps)
 
     def discretize(self, target_count: int):
         return self.points, self.weights
@@ -365,11 +383,6 @@ class DensityBoxMeasure(AtomicMeasure):
         super().__init__(cell_centers[keep], masses[keep] / total)
         self._steps = steps
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.choice(len(self.weights), size=count, p=self.weights)
-        jitter = rng.uniform(-0.5, 0.5, size=(count, self.dim)) * self._steps
-        return self.points[idx] + jitter
-
 
 class UniformBallMeasure(AtomicMeasure):
     """Uniform probability on a Euclidean ball.
@@ -399,6 +412,7 @@ class UniformBallMeasure(AtomicMeasure):
         super().__init__(cell_centers[keep], masses[keep] / masses.sum())
         self.center = center
         self.radius = float(radius)
+        self._steps = np.full(dim, step)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=(count, self.dim))

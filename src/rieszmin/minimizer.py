@@ -21,7 +21,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .energy import Configuration, _energy_stats, gradient_of_points, potential_grid
+from .energy import (Configuration, _check_kernel_dim, _energy_stats, gradient_of_points,
+                     potential_grid)
 from .errors import GradientUndefinedError, OptimizationError, ValidationError
 from .kernels import Kernel
 from .measures import TargetMeasure
@@ -288,8 +289,7 @@ def minimize(kernel: Kernel, n: int, dim: int,
     final points.
     """
     settings = settings or MinimizeSettings()
-    if kernel.dim != dim:
-        raise ValidationError(f"kernel dimension {kernel.dim} != requested dimension {dim}")
+    _check_kernel_dim(kernel, dim)
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n == 1:

@@ -5,12 +5,11 @@ recursive axis-by-axis quantile strips; the cells are the measure's
 restrictions to those rectangles, and each gives one point.
 
 Representative selection goes beyond the clipped cell mean with a kernel:
-tuples drawn from the product of the cell measures, every cell in one batch.
-Best-of-k keeps the lowest of k tuples, each tuple's pair pass run whole on
-one worker thread (energy.worker_threads); hybrid takes one and lowers its
-pair sum by SWEEPS greedy per-cell sweeps whose cells share one pair pass per
-chunk, two blocks that two workers compute side by side.  The finite pair
-sums of the round kept estimate the product's average, and are reported.
+hybrid draws one tuple from the product of the cell measures, every cell in
+one batch, whose pair sum estimates the product's average and is reported,
+then lowers it by SWEEPS greedy per-cell sweeps whose cells share one pair
+pass per chunk, two blocks that two workers compute side by side
+(energy.worker_threads).
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .energy import (_BLOCK_ELEMENTS, Configuration, EnergyValue, _energy_stats, _on_workers,
-                     _pair_pass)
+from .energy import (_BLOCK_ELEMENTS, Configuration, EnergyValue, _check_kernel_dim,
+                     _energy_stats, _pair_pass)
 from .errors import QuantizeError, ValidationError
 from .kernels import Kernel
 from .measures import Restriction, TargetMeasure
 
-STRATEGIES = ("conditional-mean", "best-of-k", "hybrid")
+STRATEGIES = ("conditional-mean", "hybrid")
 SWEEPS = 2  # hybrid's greedy sweeps after its one product draw
 
 
@@ -51,7 +50,6 @@ class SelectionInfo:
     min_distance: Optional[float] = None
     diameter: Optional[float] = None
     bound_estimate: Optional[float] = None
-    bound_stderr: Optional[float] = None
     greedy_improvements: int = 0
 
 
@@ -63,8 +61,7 @@ class QuantizeResult:
     def sidecar(self) -> dict:
         """quantize.json's payload; with a kernel, the energy from achieved_G's pass."""
         sel, n = self.selection, self.config.n
-        payload = {"achieved_G": sel.achieved_G, "bound_estimate": sel.bound_estimate,
-                   "bound_stderr": sel.bound_stderr}
+        payload = {"achieved_G": sel.achieved_G, "bound_estimate": sel.bound_estimate}
         if sel.achieved_G is not None:
             payload["energy"] = EnergyValue(sel.achieved_G, n * (n - 1), sel.min_distance).as_dict()
         return payload
@@ -108,18 +105,16 @@ def select_representatives(cells: List[Restriction], kernel: Optional[Kernel] = 
 
     conditional-mean: the cell mean (for products of quantile functions, the
     Gauss-rule mean), clipped into the closed cell.
-    best-of-k: k tuples from the product of the cell measures, keep the one
-    with the lowest normalized pair sum.
-    hybrid: one such tuple (k bounds its re-draws while its pair sum is not
-    finite), then SWEEPS greedy sweeps that each try one fresh draw per cell
-    and keep strict improvements.
+    hybrid: one tuple from the product of the cell measures (k bounds its
+    re-draws while its normalized pair sum is not finite), then SWEEPS greedy
+    sweeps that each try one fresh draw per cell and keep strict improvements.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if strategy != "conditional-mean" and kernel is None:
         raise ValidationError(f"strategy {strategy!r} needs a kernel")
-    if kernel is not None and kernel.dim != cells[0].dim:
-        raise ValidationError("kernel dimension does not match the partition")
+    if kernel is not None:
+        _check_kernel_dim(kernel, cells[0].dim)
     if strategy != "conditional-mean" and k < 1:
         raise ValidationError(f"strategy {strategy!r} needs k >= 1, got {k}")
 
@@ -132,57 +127,43 @@ def select_representatives(cells: List[Restriction], kernel: Optional[Kernel] = 
         return QuantizeResult(Configuration(points), SelectionInfo(*stats))
 
     rng = np.random.default_rng(seed)
-    tuples = 1 if strategy == "hybrid" else k
     for _ in range(k):
-        draws = cells[0].sample_cells(cells, rng, tuples)
-        stats = _on_workers(lambda points: _energy_stats(points, kernel), draws)
-        values = np.array([value for value, _, _ in stats])
-        finite = np.isfinite(values)
-        if np.any(finite):
+        best_points = cells[0].sample_cells(cells, rng, 1)[0]
+        bound_estimate = _energy_stats(best_points, kernel)[0]
+        if math.isfinite(bound_estimate):
             break
-        # every tuple hit +inf (coincident draws, singular kernel): re-draw, up to k rounds
+        # coincident draws under a singular kernel: draw again, up to k times
     else:
-        raise QuantizeError(
-            f"representative selection failed: {k} rounds of {tuples} "
-            f"tuple{'s' if tuples > 1 else ''} all produced non-finite pair sums"
-        )
-    j = int(np.argmin(np.where(finite, values, math.inf)))
-    stats, best_points = stats[j], draws[j].copy()
-
-    finite_values = values[finite]
-    bound_estimate = float(np.mean(finite_values))
-    bound_stderr = (float(np.std(finite_values, ddof=1) / math.sqrt(len(finite_values)))
-                    if len(finite_values) > 1 else None)
+        raise QuantizeError(f"representative selection failed: {k} draws all produced "
+                            "non-finite pair sums")
 
     improvements = 0
-    if strategy == "hybrid":
-        # chunk cells: the most c with 2 c (m + c) <= 2 _BLOCK_ELEMENTS, two blocks for two workers
-        step = min(m, max(1, (math.isqrt(m * m + 4 * _BLOCK_ELEMENTS) - m) // 2))
-        grid, pair = np.empty((2 * step, m + step)), np.empty((2, m - 1))
+    # chunk cells: the most c with 2 c (m + c) <= 2 _BLOCK_ELEMENTS, two blocks for two workers
+    step = min(m, max(1, (math.isqrt(m * m + 4 * _BLOCK_ELEMENTS) - m) // 2))
+    grid, pair = np.empty((2 * step, m + step)), np.empty((2, m - 1))
 
-        def fill(d, i, j):  # a block's kernel values, into its rows of the chunk's grid
-            grid[i:i + len(d), :d.shape[1]] = kernel.radial(d)
+    def fill(d, i, j):  # a block's kernel values, into its rows of the chunk's grid
+        grid[i:i + len(d), :d.shape[1]] = kernel.radial(d)
 
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for s in list(range(0, m, step)) * SWEEPS:
-                if s == 0:  # a sweep starts: one fresh candidate per cell
-                    ys = cells[0].sample_cells(cells, rng, 1)[0]
-                # rows best[i], ys[i] of the chunk's cells i; cols best, then their ys
-                chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, dim)
-                _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]), fill)
-                for i in range(s, s + len(chunk) // 2):
-                    a = 2 * (i - s)  # cell i's rows; its own column goes, as potential_grid's
-                    pair[:, :i], pair[:, i:] = grid[a:a + 2, :i], grid[a:a + 2, i + 1:m]
-                    old, new = pair.sum(axis=1)
-                    delta = 2.0 * (new - old) / m**2
-                    if math.isfinite(delta) and delta < 0.0:
-                        best_points[i] = ys[i]
-                        improvements += 1
-                        grid[a + 2:, i] = grid[a + 2:, m - s + i]  # later cells see the move
-        stats = _energy_stats(best_points, kernel)
-
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in list(range(0, m, step)) * SWEEPS:
+            if s == 0:  # a sweep starts: one fresh candidate per cell
+                ys = cells[0].sample_cells(cells, rng, 1)[0]
+            # rows best[i], ys[i] of the chunk's cells i; cols best, then their ys
+            chunk = np.hstack([best_points[s:s + step], ys[s:s + step]]).reshape(-1, dim)
+            _pair_pass(chunk, np.concatenate([best_points, chunk[1::2]]), fill)
+            for i in range(s, s + len(chunk) // 2):
+                a = 2 * (i - s)  # cell i's rows; its own column goes, as potential_grid's
+                pair[:, :i], pair[:, i:] = grid[a:a + 2, :i], grid[a:a + 2, i + 1:m]
+                old, new = pair.sum(axis=1)
+                delta = 2.0 * (new - old) / m**2
+                if math.isfinite(delta) and delta < 0.0:
+                    best_points[i] = ys[i]
+                    improvements += 1
+                    grid[a + 2:, i] = grid[a + 2:, m - s + i]  # later cells see the move
+    stats = _energy_stats(best_points, kernel)
     return QuantizeResult(Configuration(best_points),
-                          SelectionInfo(*stats, bound_estimate, bound_stderr, improvements))
+                          SelectionInfo(*stats, bound_estimate, improvements))
 
 
 def quantize(mu: TargetMeasure, n: int, kernel: Optional[Kernel] = None,

@@ -82,16 +82,15 @@ class TestQuantize:
         loaded = load_configuration_csv(out / "quantized.csv")
         assert loaded.n == 100
 
-    @pytest.mark.parametrize("strategy", ["hybrid", "best-of-k"])
-    def test_rerun_is_byte_identical(self, tmp_path, strategy):
-        cfg = write_config(tmp_path, quantize={"strategy": strategy})
+    def test_rerun_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, quantize={"strategy": "hybrid"})
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["quantize", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["quantize", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "quantized.csv").read_bytes() == (out2 / "quantized.csv").read_bytes()
         assert result_payload(out1 / "quantize.json") == result_payload(out2 / "quantize.json")
 
-    @pytest.mark.parametrize("strategy", ["conditional-mean", "best-of-k", "hybrid"])
+    @pytest.mark.parametrize("strategy", ["conditional-mean", "hybrid"])
     def test_sidecar_scores_the_emitted_points(self, tmp_path, strategy):
         """At a non-square n every selected point is emitted, so achieved_G and the
         energy block are the emitted configuration's energy, bit for bit."""
@@ -103,13 +102,12 @@ class TestQuantize:
         fresh = discrete_energy(load_configuration_csv(out / "quantized.csv"), kernel)
         assert payload["achieved_G"] == payload["energy"]["value"] == fresh.value
         assert payload["energy"] == fresh.as_dict()
-        assert "l" not in payload and "dropped" not in payload
+        assert sorted(payload) == ["achieved_G", "bound_estimate", "energy"]
 
-    @pytest.mark.parametrize("strategy, passes", [
-        ("conditional-mean", 1), ("best-of-k", 4), ("hybrid", 2)])
+    @pytest.mark.parametrize("strategy, passes", [("conditional-mean", 1), ("hybrid", 2)])
     def test_energy_comes_from_the_selections_last_pass(self, tmp_path, strategy, passes):
-        """The energy block reuses the selection's pair pass: one per tuple, and for
-        hybrid one more after its sweeps; none is made again for the report."""
+        """The energy block reuses the selection's pair pass: hybrid's one for its tuple
+        and one after its sweeps; none is made again for the report."""
         cfg = write_config(tmp_path, quantize={"strategy": strategy, "k": 4})
         with mock.patch.object(energy, "pair_interaction_sum",
                                wraps=energy.pair_interaction_sum) as spy:
@@ -135,7 +133,7 @@ class TestQuantize:
         assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
-            "numerical failure: representative selection failed: 32 rounds of 1 tuple ")
+            "numerical failure: representative selection failed: 32 draws all ")
 
     def test_svg_has_one_circle_per_point(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -530,7 +528,7 @@ class TestParsing:
         ("minimize", {"minimize": {"step": {"shrink": 0.5}}}, "step"),
         ("minimize", {"minimize": {"repair_period": 50}}, "repair_period"),
         ("minimize", {"minimize": {"seed": 3}}, "seed"),
-        ("quantize", {"quantize": {"stratgy": "best-of-k"}}, "stratgy"),
+        ("quantize", {"quantize": {"stratgy": "hybrid"}}, "stratgy"),
         ("trace", {"trace": {"mc_sample": 100}}, "mc_sample"),
         ("diagnose", {"diagnostics": {"gap": 2.0}}, "gap"),
         # a bool setting takes only JSON true or false
@@ -699,6 +697,9 @@ class TestOutOfRange:
                                   "hi": [1, 1]}}, "box corners"),
         # one cell, which needs no draws, still needs k >= 1
         ("quantize", {"n": 1, "quantize": {"strategy": "hybrid", "k": 0}}, "k >= 1"),
+        # the deleted best-of-k strategy is an unknown one
+        ("quantize", {"quantize": {"strategy": "best-of-k"}}, "unknown strategy 'best-of-k'"),
+        ("trace", {"trace": {"strategy": "best-of-k"}}, "unknown strategy 'best-of-k'"),
         # atoms without coordinates, and density corners empty or 2-d
         ("quantize", {"measure": {"type": "atoms", "positions": [[], []],
                                   "weights": [0.5, 0.5]}}, "atom positions"),
@@ -790,15 +791,18 @@ class TestThreads:
         assert err.startswith("error: ") and err.count("\n") == 1 and "--threads" in err
 
     # n = 300 and 400 points make every pair pass span more than one block
-    @pytest.mark.parametrize("command, files, strategy", [
-        ("quantize", ["quantized.csv", "quantize.json"], "hybrid"),
-        ("quantize", ["quantized.csv", "quantize.json"], "best-of-k"),
-        ("minimize", ["minimized.csv", "history.csv", "minimize.json"], "hybrid"),
-        ("trace", ["trace.csv", "trace.json"], "hybrid"),
-        ("diagnose", ["diagnose.json"], "hybrid"),
+    @pytest.mark.parametrize("command, files, measure", [
+        ("quantize", ["quantized.csv", "quantize.json"], "uniform_box"),
+        ("quantize", ["quantized.csv", "quantize.json"], "uniform_ball"),
+        ("minimize", ["minimized.csv", "history.csv", "minimize.json"], "uniform_box"),
+        ("trace", ["trace.csv", "trace.json"], "uniform_box"),
+        ("diagnose", ["diagnose.json"], "uniform_box"),
     ])
-    def test_outputs_do_not_depend_on_threads(self, tmp_path, command, files, strategy):
-        cfg = write_config(tmp_path, n=300, n_list=[300], quantize={"k": 4, "strategy": strategy},
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, command, files, measure):
+        measures = {"uniform_box": {"type": "uniform_box", "lo": [0, 0], "hi": [1, 1]},
+                    "uniform_ball": {"type": "uniform_ball", "center": [0, 0], "radius": 1}}
+        cfg = write_config(tmp_path, n=300, n_list=[300], measure=measures[measure],
+                           quantize={"k": 4, "strategy": "hybrid"},
                            minimize={"restarts": 1, "max_iters": 20},
                            trace={"k": 4, "mc_samples": 20000})
         args = [command, "--config", cfg]

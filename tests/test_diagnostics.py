@@ -247,8 +247,7 @@ class TestGammaTrace:
             assert row.energy_minimized <= row.energy_quantized + 1e-12
         assert trace.ell_p_estimate == trace.rows[-1].energy_minimized
 
-    @pytest.mark.parametrize("strategy, passes", [("conditional-mean", 1), ("best-of-k", 3),
-                                                  ("hybrid", 2)])
+    @pytest.mark.parametrize("strategy, passes", [("conditional-mean", 1), ("hybrid", 2)])
     def test_rows_take_the_selections_own_pair_pass(self, strategy, passes):
         """A row's energy and diameter are the selection's final pair pass, the values
         a pass of their own would give; the trace runs no other pass per row."""

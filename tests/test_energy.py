@@ -17,18 +17,17 @@ from rieszmin import (
     SubConfiguration,
     UniformBoxMeasure,
     ValidationError,
+    bl_distance,
     continuum_energy_mc,
     cross_energy,
     discrete_energy,
     gradient,
     partial_energy,
-    partition,
     potential,
-    select_representatives,
     single_atom,
     truncated_energy_gap,
 )
-from rieszmin import energy
+from rieszmin import diagnostics, energy
 from rieszmin.energy import (
     load_configuration_csv,
     pair_interaction_sum,
@@ -216,26 +215,34 @@ class TestWorkerThreads:
             assert (1 if pool is None else pool()._max_workers) == (os.cpu_count() or 1)
 
     def test_caller_errstate_holds_in_worker_threads(self):
-        """In the blocks of one pass, and in best-of-k's tuples, which run whole on the
-        workers (16 cells: one tile each)."""
+        """In the blocks of one pass, and in bl_distance's slices, which run whole on
+        the workers."""
         seen = []
+
+        def note():
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
 
         class Recording(PowerLawKernel):
             def radial(self, r):
-                seen.append((threading.current_thread() is threading.main_thread(),
-                             np.geterr()))
+                note()
                 return super().radial(r)
+
+        real_slice = diagnostics._w1_truncated_1d
+
+        def recording_slice(*args):
+            note()
+            return real_slice(*args)
 
         kernel = Recording(1, 2, dim=2)
         pts = np.random.default_rng(0).normal(size=(600, 2))
-        cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
         with mock.patch.object(energy.os, "cpu_count", return_value=2), \
+                mock.patch.object(diagnostics, "_w1_truncated_1d", recording_slice), \
                 np.errstate(over="raise", under="warn", invalid="print"), worker_threads(2):
             want = np.geterr()
             pair_interaction_sum(pts, kernel)
             blocks = len(seen)
-            select_representatives(cells, kernel, strategy="best-of-k", k=4)
-        assert blocks > 1 and len(seen) == blocks + 4
+            bl_distance(Configuration(pts), Configuration(pts[:300]))
+        assert blocks > 1 and len(seen) == blocks + diagnostics._BL_SLICES
         assert all(not on_main and err == want for on_main, err in seen)
 
 
@@ -287,6 +294,24 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * (energy._BLOCK_ELEMENTS + (1 + dim) * 5 * 1100) * 8
+
+    def test_a_threads_first_pass_may_have_an_empty_block(self):
+        """On a fresh thread, which holds no buffers yet, passes whose one block is
+        zero wide give 0.0 (an earlier pass on the thread would hide a missing buffer)."""
+        empty = SubConfiguration(np.empty((0, 2)), denominator=2)
+        calls = {
+            "excluded": lambda: potential(Configuration([[0.0, 0.0]]), PL2, [1.0, 0.0],
+                                          exclude=0),
+            "empty source": lambda: potential(empty, PL2, [1.0, 0.0]),
+            "cross": lambda: cross_energy(SubConfiguration([[0.0, 0.0]], denominator=2),
+                                          empty, PL2),
+        }
+        for name, call in calls.items():
+            got = []
+            thread = threading.Thread(target=lambda: got.append(call()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and got == [0.0], name
 
 
 class TestPotential:

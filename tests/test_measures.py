@@ -10,6 +10,7 @@ from rieszmin import (
     UniformBallMeasure,
     UniformBoxMeasure,
     ValidationError,
+    partition,
     single_atom,
 )
 
@@ -145,6 +146,31 @@ class TestUniformBall:
         mu = UniformBallMeasure([0.0, 0.0], 1.0)
         pts = mu.sample(40_000, np.random.default_rng(6))
         assert float(np.linalg.norm(pts, axis=1).mean()) == pytest.approx(2.0 / 3.0, abs=0.01)
+
+
+SURROGATES = {
+    "ball": lambda dim: UniformBallMeasure([0.0] * dim, 1.0, cells_per_axis=8),
+    "density": lambda dim: DensityBoxMeasure(lambda pts: 1.0 + pts[:, 0], [0.0] * dim,
+                                             [1.0] * dim, cells_per_axis=8, normalize=True),
+}
+
+
+class TestSurrogateCellDraws:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(SURROGATES))
+    def test_cell_draws_spread_over_the_grid_cells_of_their_atoms(self, kind, dim):
+        """A grid surrogate's cell draws one of its atoms moved at most half a grid
+        step on each axis, inside the cell's closed rect; an atom split between two
+        cells gives them different points, so no two draws coincide."""
+        mu = SURROGATES[kind](dim)
+        cells = partition(mu, 3**dim)
+        draws = cells[0].sample_cells(cells, np.random.default_rng(dim), 100)
+        for i, cell in enumerate(cells):
+            lo, hi = cell.rect[:, 0], cell.rect[:, 1]
+            assert np.all((lo <= draws[:, i]) & (draws[:, i] <= hi))
+            offsets = np.abs(draws[:, i, None, :] - cell.points[None, :, :])
+            assert np.all(np.any(np.all(offsets <= 0.5 * mu._steps, axis=2), axis=1))
+        assert len(np.unique(draws.reshape(-1, dim), axis=0)) == draws.shape[0] * len(cells)
 
 
 class TestAtomsMix:

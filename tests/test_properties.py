@@ -10,9 +10,12 @@ dense single-linkage reference.
 Energy and gradient are translation invariant, partition cells of atom clouds
 carry exactly 1/l^dim, a product cell samples with the bits of per-axis uniform
 draws, and the CLI reads a minimize block into the settings
-the dataclasses build from the same values.  The in-place kernel profiles give
-the bits of their plain numpy expressions, kept here as references."""
+the dataclasses build from the same values.  Hybrid selection only lowers its
+first draw, inside the cells, and grid surrogates draw no coincident points.
+The in-place kernel profiles give the bits of their plain numpy expressions,
+kept here as references."""
 
+import functools
 import itertools
 import math
 import sys
@@ -28,12 +31,14 @@ from scipy.spatial.distance import pdist
 from rieszmin import (
     AtomicMeasure,
     Configuration,
+    DensityBoxMeasure,
     GradientUndefinedError,
     MinimizeSettings,
     MorseKernel,
     PowerLawKernel,
     ProductQuantileMeasure,
     TruncatedKernel,
+    UniformBallMeasure,
     UniformBoxMeasure,
     discrete_energy,
     el_residual,
@@ -45,7 +50,7 @@ from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 from rieszmin.kernels import _FAST_POWERS
 from rieszmin.measures import ProductRestriction, Restriction, _full_rect
-from rieszmin.quantizer import partition, side_count
+from rieszmin.quantizer import partition, select_representatives, side_count
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
 
@@ -622,6 +627,41 @@ def test_atom_cloud_cells_are_drawn_one_by_one(count):
     per_cell = np.stack([c.sample(count, twin) for c in cells], axis=1)
     assert batched.shape == (count, 25, 2) and batched.tobytes() == per_cell.tobytes()
     assert got.random() == twin.random()
+
+
+@functools.lru_cache(maxsize=None)
+def selection_measure(kind, dim):
+    """A box, a ball and a density (both grid surrogates) and an atom cloud in dim."""
+    if kind == "box":
+        return UniformBoxMeasure([-1.0, 0.0, 2.0][:dim], [0.5, 3.0, 2.25][:dim])
+    if kind == "ball":
+        return UniformBallMeasure([0.5, -1.0, 0.0][:dim], 2.0)
+    if kind == "density":
+        return DensityBoxMeasure(lambda p: 1.0 + p[:, 0] ** 2, [0.0] * dim, [1.0] * dim,
+                                 normalize=True)
+    return AtomicMeasure(np.random.default_rng(dim).normal(size=(2000, dim)))
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["box", "ball", "density", "cloud"]), dim=st.integers(1, 3),
+       n=st.integers(2, 256), seed=st.integers(0, 2**32 - 1),
+       alpha=st.sampled_from([1.0, -0.5]))
+@example(kind="ball", dim=2, n=1024, seed=0, alpha=1.0)  # bare atoms: about 7 coincide
+@example(kind="ball", dim=2, n=1024, seed=0, alpha=-0.5)
+@example(kind="density", dim=1, n=256, seed=0, alpha=1.0)
+def test_hybrid_selection_lowers_its_draw_inside_the_cells(kind, dim, n, seed, alpha):
+    """Hybrid's sweeps only lower its first draw's pair sum (up to round-off of two
+    summation orders), every point lies in its closed cell, and a grid surrogate's
+    cells, whose draws spread over the grid cells, give no two coincident points."""
+    cells = partition(selection_measure(kind, dim), n)
+    result = select_representatives(cells, PowerLawKernel(alpha, 2, dim=dim), "hybrid",
+                                    seed=seed)
+    sel, points = result.selection, result.config.points
+    assert sel.achieved_G <= sel.bound_estimate + 1e-12 * abs(sel.bound_estimate)
+    for cell, point in zip(cells, points):
+        assert np.all(cell.rect[:, 0] <= point) and np.all(point <= cell.rect[:, 1])
+    if kind in ("ball", "density"):
+        assert len(np.unique(points, axis=0)) == n
 
 
 def whole(lo, hi):

@@ -13,6 +13,7 @@ from rieszmin import (
     ProductQuantileMeasure,
     QuantizeError,
     TabulatedKernel,
+    UniformBallMeasure,
     UniformBoxMeasure,
     ValidationError,
     bl_distance,
@@ -90,86 +91,24 @@ class TestSelectRepresentatives:
         reps = result.config.points[:, 0]
         assert np.allclose(reps, [0.125, 0.375, 0.625, 0.875], atol=1e-12)
 
-    def test_best_of_k_beats_the_sampled_mean(self):
-        mu = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0])
-        k2 = PowerLawKernel(1, 2, dim=2)
-        sel = select_representatives(partition(mu, 16), k2, strategy="best-of-k", k=64,
-                                     seed=3).selection
-        assert sel.achieved_G <= sel.bound_estimate + 1e-12
-
     def test_containment_in_closed_cells(self):
         rng = np.random.default_rng(4)
         mu = AtomicMeasure(rng.normal(size=(2000, 2)))
         k2 = PowerLawKernel(1, 2, dim=2)
-        for strategy in ("conditional-mean", "best-of-k", "hybrid"):
+        for strategy in ("conditional-mean", "hybrid"):
             cells = partition(mu, 25)
             result = select_representatives(cells, k2, strategy=strategy, k=8, seed=5)
             for cell, point in zip(cells, result.config.points):
                 assert np.all(point >= cell.rect[:, 0])
                 assert np.all(point <= cell.rect[:, 1])
 
-    def test_a_round_of_infinite_tuples_is_drawn_again(self):
-        """When every tuple of a round has a non-finite pair sum, best-of-k draws a
-        second round from the same generator and selects from it alone: the bound is
-        the mean and standard error of that round's k values."""
-        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
-        k, seed = 4, 9
-        real, calls = quantizer._energy_stats, []
-
-        def first_round_infinite(points, kern):
-            calls.append((points.copy(), real(points, kern)[0]))
-            return (math.inf,) * 3 if len(calls) <= k else real(points, kern)
-
-        cells = partition(mu, 16)
-        with mock.patch.object(quantizer, "_energy_stats", first_round_infinite):
-            result = select_representatives(cells, kernel, "best-of-k", k=k, seed=seed)
-        sel = result.selection
-        assert len(calls) == 2 * k
-        rng = np.random.default_rng(seed)
-        cells[0].sample_cells(cells, rng, k)  # round one's draws
-        second = cells[0].sample_cells(cells, rng, k)
-        assert all(np.array_equal(points, want) for (points, _), want in zip(calls[k:], second))
-        values = np.array([value for _, value in calls[k:]])
-        j = int(np.argmin(values))
-        assert result.config.points.tobytes() == second[j].tobytes()
-        assert sel.achieved_G == values[j]
-        assert sel.bound_estimate == float(np.mean(values))
-        assert sel.bound_stderr == float(np.std(values, ddof=1) / math.sqrt(k))
-
     def test_selection_gives_up_after_k_rounds(self):
         """Five atoms cannot hold nine cells' draws apart: under a singular kernel every
-        tuple has coincident points, and selection gives up after k rounds, of k tuples
-        for best-of-k and of one for hybrid."""
+        tuple has coincident points, and selection gives up after k draws."""
         corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
         mu = AtomicMeasure(np.array(corners), np.full(5, 0.2))
-        with pytest.raises(QuantizeError, match="32 rounds of 32 tuples all"):
-            quantize(mu, 9, PowerLawKernel(-0.5, 2, dim=2), strategy="best-of-k")
-        with pytest.raises(QuantizeError, match="32 rounds of 1 tuple all"):
+        with pytest.raises(QuantizeError, match="32 draws all"):
             quantize(mu, 9, PowerLawKernel(-0.5, 2, dim=2), strategy="hybrid")
-
-    @pytest.mark.parametrize("strategy, k", [("hybrid", 32), ("best-of-k", 1)])
-    def test_one_value_has_no_standard_error(self, strategy, k):
-        """Hybrid's bound is its first tuple's pair sum, and best-of-k with k = 1 has one
-        tuple too: one value gives no standard error, not a made-up 0."""
-        cells = partition(UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), 16)
-        sel = select_representatives(cells, PowerLawKernel(1, 2, dim=2), strategy, k=k,
-                                     seed=3).selection
-        assert sel.bound_stderr is None and math.isfinite(sel.bound_estimate)
-
-    def test_a_round_with_one_finite_tuple_has_no_standard_error(self):
-        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
-        real, calls = quantizer._energy_stats, []
-
-        def one_finite(points, kern):
-            calls.append(real(points, kern))
-            return calls[-1] if len(calls) == 3 else (math.inf,) * 3
-
-        with mock.patch.object(quantizer, "_energy_stats", one_finite):
-            sel = select_representatives(partition(mu, 16), kernel, "best-of-k", k=4,
-                                         seed=2).selection
-        assert len(calls) == 4
-        assert sel.achieved_G == sel.bound_estimate == calls[2][0]
-        assert sel.diameter == calls[2][2] and sel.bound_stderr is None
 
     def test_hybrid_draws_an_infinite_first_tuple_again(self):
         """A first tuple with a non-finite pair sum is drawn again from the same generator;
@@ -190,22 +129,14 @@ class TestSelectRepresentatives:
         draws = [cells[0].sample_cells(cells, rng, 1)[0] for _ in range(2)]
         assert calls[0].tobytes() == draws[0].tobytes()
         assert calls[1].tobytes() == draws[1].tobytes()
-        assert sel.bound_estimate == real(draws[1], kernel)[0] and sel.bound_stderr is None
+        assert sel.bound_estimate == real(draws[1], kernel)[0]
         assert sel.achieved_G == real(result.config.points, kernel)[0] <= sel.bound_estimate
 
-    def test_hybrid_beats_best_of_k_at_the_same_k(self):
-        """One draw and SWEEPS greedy sweeps reach a lower pair sum than the best of 32
-        tuples, on the unit square under PL(1,2) at n = 1024."""
-        mu, kernel = UniformBoxMeasure([0.0, 0.0], [1.0, 1.0]), PowerLawKernel(1, 2, dim=2)
-        for seed in (1, 2, 3):
-            hybrid, best = (quantize(mu, 1024, kernel, strategy, k=32, seed=seed).selection
-                            for strategy in ("hybrid", "best-of-k"))
-            assert hybrid.achieved_G < best.achieved_G
-
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValidationError):
-            select_representatives(partition(UniformBoxMeasure([0.0], [1.0]), 2), PL1,
-                                   strategy="annealing")
+        for strategy in ("annealing", "best-of-k"):
+            with pytest.raises(ValidationError, match=f"unknown strategy '{strategy}'"):
+                select_representatives(partition(UniformBoxMeasure([0.0], [1.0]), 2), PL1,
+                                       strategy=strategy)
 
     @pytest.mark.parametrize("kernel", [PL1, None])
     def test_quantize_rejects_an_unknown_strategy_with_or_without_a_kernel(self, kernel):
@@ -379,6 +310,15 @@ class TestQuantize:
             lo, hi = cell.rect[:, 0], cell.rect[:, 1]
             assert np.all(lo <= point) and np.all(point <= hi)
             assert np.array_equal(point, np.clip(cell.mean_point(), lo, hi))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_singular_kernel_quantizes_the_ball(self, seed):
+        """The ball's grid-surrogate cells draw apart, so under PL(-0.5,2) no draw of
+        n = 1024 points has coincident ones and hybrid selection succeeds."""
+        mu = UniformBallMeasure([0.0, 0.0], 1.0)
+        result = quantize(mu, 1024, PowerLawKernel(-0.5, 2, dim=2), "hybrid", 32, seed)
+        assert math.isfinite(result.selection.bound_estimate)
+        assert len(np.unique(result.config.points, axis=0)) == 1024
 
     def test_point_mass_quantizes_to_copies(self):
         result = quantize(single_atom([2.0, -1.0]), 7, strategy="conditional-mean")
