@@ -56,11 +56,9 @@ from .quantizer import (
     side_count,
 )
 from .minimizer import (
-    EnergyTrace,
     InitSpec,
     MinimizeResult,
     MinimizeSettings,
-    energy_trace,
     minimize,
     repair_outliers,
 )

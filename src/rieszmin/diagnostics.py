@@ -29,7 +29,7 @@ from .energy import (
 from .errors import ValidationError
 from .kernels import Kernel
 from .measures import TargetMeasure
-from .minimizer import InitSpec, MinimizeSettings, minimize
+from .minimizer import InitSpec, MinimizeSettings, _median, minimize
 from .quantizer import quantize
 
 _PROBES_PER_SPHERE = 32  # el_residual's random probe directions on each sphere
@@ -193,7 +193,7 @@ def cluster_classify(cfg: Configuration, gap_factor: float = 5.0) -> ClusterRepo
         np.minimum(bound[s:], near, out=bound[s:])
         np.minimum(bound[:-s], near, out=bound[:-s])
     nn = np.concatenate(_pair_pass(sp, sp, lambda d, i, j: d.min(axis=1), order, bound))
-    median_nn = float(np.median(nn))
+    median_nn = _median(nn)
     threshold = gap_factor * median_nn
 
     def links(d, i, j):  # a spanning forest of the block's pairs within the threshold
@@ -279,9 +279,11 @@ def _w1_truncated_1d(x1: np.ndarray, w1: np.ndarray,
     xs = np.concatenate([x1, x2])
     signs = np.concatenate([w1, -w2])
     order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    cdf_diff = np.cumsum(signs[order])
-    w1_dist = float(np.sum(np.abs(cdf_diff[:-1]) * np.diff(xs)))
+    ranked = xs[order]
+    # the CDF difference in xs's buffer, the steps in signs' ("clip": take writes out unbuffered)
+    cdf = np.cumsum(np.take(signs, order, out=xs, mode="clip"), out=xs)
+    steps = np.subtract(ranked[1:], ranked[:-1], out=signs[:-1])  # np.diff(ranked)
+    w1_dist = float(np.sum(np.multiply(np.abs(cdf[:-1], out=cdf[:-1]), steps, out=cdf[:-1])))
     return min(w1_dist, 2.0)
 
 

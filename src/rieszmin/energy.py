@@ -168,8 +168,9 @@ def _pair_pass(rows: np.ndarray, cols: np.ndarray, reduce, order: Optional[np.nd
     """The one block schedule of point pairs (rows[i], cols[j]): the list of reduce(d, i, j),
     or with grad=True of reduce(d, i, j, diffs), in block order; d is the distance block of
     rows i, ... by cols j, ..., diffs[k, a, b] = rows[i + a, k] - cols[j + b, k], buffers the
-    reducer may overwrite, not keep.  A given ``order`` says rows and cols are both
-    points[order], one family, whose pairs i == j sit at d = +inf.  Blocks are rows by all
+    reducer may overwrite, not keep; so is the block's _scratch("part", d.shape), dead once d
+    is formed (kernel.radial(d, out=...) may fill it).  A given ``order`` says rows and cols are
+    both points[order], one family, whose pairs i == j sit at d = +inf.  Blocks are rows by all
     cols; a ``reach`` (a scalar or one per row; rows and cols sorted on their first coordinate)
     narrows each to the cols within a row's reach of it on the first coordinate, keeping every
     pair within it; with tiles=True (one family) they are the _TILE x _TILE tiles (I, J), I <= J."""
@@ -241,14 +242,13 @@ def _potentials(points: np.ndarray, kernel: Kernel, grad: bool = False):
         d[eye] = 0.0  # the distance of a skipped pair, for the max
         hi = float(d.max(initial=0.0))
         d[eye] = 1.0  # any finite placeholder; its term is zeroed below
-        vals = kernel.radial(d)
+        vals = kernel.radial(d, out=_scratch("part", d.shape))
         vals[eye] = 0.0
         np.sum(vals, axis=1, out=parts[j // _TILE, i:i + len(d)])
         if i != j:
             np.sum(vals, axis=0, out=parts[i // _TILE, j:j + d.shape[1]])
-        del vals  # before the derivative's block
         if grad and np.isfinite(parts[j // _TILE, i:i + len(d)]).all():  # else NaN forces
-            w = np.divide(kernel.radial_prime(d), d, out=d)
+            w = np.divide(kernel.radial_prime(d, out=vals), d, out=d)
             w[eye] = 0.0
             for k, diff in enumerate(diffs):
                 np.multiply(w, diff, out=diff)
@@ -360,7 +360,7 @@ def potential_grid(points: np.ndarray, weight: float, kernel: Kernel,
     values = np.empty(len(probes))
 
     def row_sums(d, i, j):
-        np.sum(kernel.radial(d), axis=1, out=values[i:i + len(d)])
+        np.sum(kernel.radial(d, out=_scratch("part", d.shape)), axis=1, out=values[i:i + len(d)])
 
     _pair_pass(probes, points, row_sums)
     return values * weight
@@ -388,9 +388,11 @@ def continuum_energy_mc(mu, kernel: Kernel, sample_count: int, seed: int) -> Mon
         raise ValidationError("need at least 2 Monte-Carlo samples")
     _check_kernel_dim(kernel, mu.dim)
     rng = np.random.default_rng(seed)
-    xs = mu.sample(sample_count, rng)
-    ys = mu.sample(sample_count, rng)
-    vals = np.asarray(kernel.radial(np.linalg.norm(xs - ys, axis=1)), dtype=float)
+    diff = mu.sample(sample_count, rng)  # x, then x - y and its squares, then the kernel values
+    np.subtract(diff, mu.sample(sample_count, rng), out=diff)
+    r = np.add.reduce(np.square(diff, out=diff), axis=1)
+    np.sqrt(r, out=r)  # np.linalg.norm(x - y, axis=1)'s operations, so its bits
+    vals = np.asarray(kernel.radial(r, out=diff.reshape(-1)[:sample_count]), dtype=float)
     finite = np.isfinite(vals)
     if not np.all(finite):
         bad = int((~finite).sum())

@@ -27,9 +27,12 @@ from .quadrature import (
 class Kernel:
     """Base class for radial pairwise interaction kernels on R^dim.
 
-    Subclasses provide the radial profile ``radial(r)`` and its derivative
-    ``radial_prime(r)``, both vectorized over numpy arrays of radii; each
-    returns a new array, which the caller may overwrite.
+    Subclasses provide the radial profile ``radial(r, out=None)`` and its
+    derivative ``radial_prime(r, out=None)``, both vectorized over numpy arrays
+    of radii.  Each writes its values into ``out``, an array of r's shape that
+    shares no memory with r, and returns it, or returns a new array for
+    out=None; the values have the same bits either way, and the caller may
+    overwrite them.
     """
 
     dim: int
@@ -37,10 +40,10 @@ class Kernel:
 
     # -- radial profile -------------------------------------------------
 
-    def radial(self, r):
+    def radial(self, r, out=None):
         raise NotImplementedError
 
-    def radial_prime(self, r):
+    def radial_prime(self, r, out=None):
         raise NotImplementedError
 
     @property
@@ -78,6 +81,14 @@ class Kernel:
         return float(self.radial_prime(r)) * v / r
 
 
+def _written(vals: np.ndarray, out):
+    """vals, or out holding vals' values."""
+    if out is None:
+        return vals
+    out[...] = vals
+    return out
+
+
 def _positive(name: str, value: float) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
@@ -113,9 +124,9 @@ def _term(p: float, c: float = 1.0):
     return term
 
 
-def _difference(r, first, second):
-    """first(r) - second(r) for two _term's, into a new array."""
-    out = np.empty_like(r)
+def _difference(r, first, second, out=None):
+    """first(r) - second(r) for two _term's, into out (a new array for None)."""
+    out = np.empty_like(r) if out is None else out
     hi = first(r, out)
     return np.subtract(hi, second(r, None if hi is out else out), out)
 
@@ -151,17 +162,17 @@ class PowerLawKernel(Kernel):
         object.__setattr__(self, "_radial", (_term(b, b), _term(a, a)))
         object.__setattr__(self, "_prime", (_term(b - 1.0), _term(a - 1.0)))
 
-    def radial(self, r):
+    def radial(self, r, out=None):
         r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = _difference(r, *self._radial)
+            vals = _difference(r, *self._radial, out)
         if not r.min(initial=math.inf) > 0:  # coincident points (or r < 0, NaN)
             vals[~(r > 0)] = math.inf if self.alpha < 0 else 0.0
         return vals
 
-    def radial_prime(self, r):
+    def radial_prime(self, r, out=None):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _difference(np.asarray(r, dtype=float), *self._prime)
+            return _difference(np.asarray(r, dtype=float), *self._prime, out)
 
 
 @dataclass(frozen=True)
@@ -199,20 +210,20 @@ class MorseKernel(Kernel):
             return r_star
         return max(self.l1, self.l2)
 
-    def _decays(self, r, c1, c2, combine):
-        """combine(c1 exp(-r/l1), c2 exp(-r/l2)), each term made in place."""
+    def _decays(self, r, c1, c2, combine, out):
+        """combine(c1 exp(-r/l1), c2 exp(-r/l2)) into out, each term made in place."""
         r = np.asarray(r, dtype=float)
-        terms = np.empty_like(r), np.empty_like(r)
+        terms = np.empty_like(r) if out is None else out, np.empty_like(r)
         for e, scale, c in zip(terms, (self.l1, self.l2), (c1, c2)):
             np.exp(np.divide(np.negative(r, out=e), scale, out=e), out=e)
             e *= c
         return combine(*terms, out=terms[0])
 
-    def radial(self, r):
-        return self._decays(r, self.c1, self.c2, np.subtract)
+    def radial(self, r, out=None):
+        return self._decays(r, self.c1, self.c2, np.subtract, out)
 
-    def radial_prime(self, r):
-        return self._decays(r, -self.c1 / self.l1, self.c2 / self.l2, np.add)
+    def radial_prime(self, r, out=None):
+        return self._decays(r, -self.c1 / self.l1, self.c2 / self.l2, np.add, out)
 
 
 @dataclass(frozen=True)
@@ -242,13 +253,13 @@ class TruncatedKernel(Kernel):
         # min with a constant preserves monotone decrease near the origin
         return self.inner.near_origin_radius
 
-    def radial(self, r):
-        vals = np.asarray(self.inner.radial(r), dtype=float)
+    def radial(self, r, out=None):
+        vals = np.asarray(self.inner.radial(r, out), dtype=float)
         return np.minimum(vals, self.level, out=vals)
 
-    def radial_prime(self, r):
+    def radial_prime(self, r, out=None):
         r = np.asarray(r, dtype=float)
-        out = np.asarray(self.inner.radial_prime(r), dtype=float)
+        out = np.asarray(self.inner.radial_prime(r, out), dtype=float)
         out[~(self.inner.radial(r) < self.level)] = 0.0  # NaN values too
         return out
 
@@ -306,22 +317,22 @@ class TabulatedKernel(Kernel):
         return (spline, spline.derivative(), float(radii[finite][0]),
                 float(radii[finite][-1]), float(values[finite][0]), float(values[finite][-1]))
 
-    def radial(self, r):
+    def radial(self, r, out=None):
         spline, _, lo, hi, v_lo, v_hi = self._interp
         r = np.asarray(r, dtype=float)
-        out = spline(np.clip(r, lo, hi))
-        out = np.where(r < lo, v_lo, out)
-        out = np.where(r > hi, v_hi, out)
+        vals = spline(np.clip(r, lo, hi))
+        np.copyto(vals, v_lo, where=r < lo)
+        np.copyto(vals, v_hi, where=r > hi)
         if self.singular_at_zero:
-            out = np.where(r == 0.0, math.inf, out)
-        return out
+            np.copyto(vals, math.inf, where=r == 0.0)
+        return _written(vals, out)
 
-    def radial_prime(self, r):
+    def radial_prime(self, r, out=None):
         _, deriv, lo, hi, _, _ = self._interp
         r = np.asarray(r, dtype=float)
-        inside = (r >= lo) & (r <= hi)
-        out = np.where(inside, deriv(np.clip(r, lo, hi)), 0.0)
-        return out
+        vals = deriv(np.clip(r, lo, hi))
+        np.copyto(vals, 0.0, where=~((r >= lo) & (r <= hi)))
+        return _written(vals, out)
 
     @property
     def value_at_zero(self) -> float:  # type: ignore[override]

@@ -247,7 +247,7 @@ class TargetMeasure(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        ...
+        """(count, dim) independent draws, a new array that the caller may overwrite."""
 
     @abc.abstractmethod
     def root_restriction(self) -> Restriction:
@@ -311,8 +311,9 @@ class ProductQuantileMeasure(TargetMeasure):
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=(count, self.dim))
-        cols = [np.asarray(self.quantiles[k](u[:, k]), dtype=float) for k in range(self.dim)]
-        return np.column_stack(cols)
+        for k, quantile in enumerate(self.quantiles):
+            u[:, k] = quantile(u[:, k])  # each axis's positions in place of its uniforms
+        return u
 
     def root_restriction(self) -> ProductRestriction:
         u_rect = np.array([(0.0, 1.0)] * self.dim)

@@ -16,7 +16,7 @@ strict energy decrease.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -37,10 +37,9 @@ _SHRINK = 0.5  # a rejected trial step halves
 _ARMIJO = 1e-4  # sufficient-decrease constant of the Armijo test (Nocedal & Wright, Sec. 3.1)
 _REPAIR_PERIOD = 50  # iterations between repair moves
 _SEPARATION = 1e-3  # restart 0 moves a repeated start point this fraction of the spread
-# A repair outlier lies beyond _FAR_FACTOR times the _BULK_QUANTILE of the distances
-# from the centre of mass.  One far outlier among n points drags that centre enough
-# to sit only (n-1) times farther from it than the bulk does, so both stay tight.
-_BULK_QUANTILE = 0.5
+# A repair outlier lies beyond _FAR_FACTOR times the median (np.quantile's 0.5 point)
+# of the distances from the centre of mass.  One far outlier among n points drags that
+# centre enough to sit only (n-1) times farther from it than the bulk does, so both stay tight.
 _FAR_FACTOR = 1.5
 
 
@@ -94,7 +93,6 @@ class MinimizeResult:
     converged: bool
     history: List[Tuple[float, float]]
     repair_events: List[float]
-    diameter: float  # the final energy pass's support diameter, not reported
 
     def as_dict(self) -> dict:
         return {
@@ -110,6 +108,15 @@ class MinimizeResult:
 
 def _max_row_norm(g: np.ndarray) -> float:
     return float(np.sqrt((g * g).sum(axis=1).max()))
+
+
+def _median(values: np.ndarray, quantile: bool = False) -> float:
+    """np.median(values), or np.quantile(values, 0.5) with quantile=True, bit for bit on finite
+    nonnegative values (distances): the middle value of an odd count, else numpy's (a + b) / 2
+    or b - (b - a) * 0.5 of the middle two, from one np.partition (numpy's own import numpy.ma)."""
+    n = len(values)
+    a, b = np.partition(values, [(n - 1) // 2, n // 2])[[(n - 1) // 2, n // 2]]
+    return float(b if n % 2 else b - (b - a) * 0.5 if quantile else (a + b) / 2)
 
 
 def repair_outliers(cfg: Configuration, kernel: Kernel) -> Configuration:
@@ -134,7 +141,7 @@ def _repair_points(points: np.ndarray, kernel: Kernel,
     n, dim = points.shape
     center = points.mean(axis=0)
     dists = np.linalg.norm(points - center, axis=1)
-    radius = float(np.quantile(dists, _BULK_QUANTILE))
+    radius = _median(dists, quantile=True)
     if radius <= 0.0:
         return None  # everything coincident: nothing to anchor the move on
     outliers = dists > _FAR_FACTOR * radius
@@ -296,7 +303,7 @@ def minimize(kernel: Kernel, n: int, dim: int,
         cfg = Configuration(np.zeros((1, dim)))
         return MinimizeResult(config=cfg, energy=0.0, grad_norm=0.0, iterations=0,
                               restarts_used=0, converged=True,
-                              history=[(0.0, 0.0)], repair_events=[], diameter=0.0)
+                              history=[(0.0, 0.0)], repair_events=[])
 
     rng = np.random.default_rng(settings.seed)
     streams = rng.spawn(settings.restarts)
@@ -318,57 +325,6 @@ def minimize(kernel: Kernel, n: int, dim: int,
     points, energy, gnorm, iters, converged, history, repair_deltas = best
     points = points - points.mean(axis=0)
     cfg = Configuration(points)
-    final_energy, _, diameter = _energy_stats(cfg.points, kernel)
-    return MinimizeResult(config=cfg, energy=final_energy, grad_norm=gnorm,
+    return MinimizeResult(config=cfg, energy=_energy_stats(cfg.points, kernel)[0], grad_norm=gnorm,
                           iterations=iters, restarts_used=completed,
-                          converged=converged, history=history,
-                          repair_events=repair_deltas, diameter=diameter)
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    n: int
-    energy: float
-    grad_norm: float
-    diameter: float
-
-
-@dataclass
-class EnergyTrace:
-    entries: List[TraceEntry]
-    outward_drift: bool
-
-
-def energy_trace(kernel: Kernel, dim: int, n_list,
-                 settings: Optional[MinimizeSettings] = None) -> EnergyTrace:
-    """Ground-state energy estimates along an increasing list of n.
-
-    Each run after the first seeds one restart from the quantizer applied
-    to the previous minimizer's empirical measure.  The outward_drift flag
-    marks support diameters that keep growing, the practical symptom of
-    discrete minimizers failing to exist.
-    """
-    n_list = list(n_list)
-    if not n_list:
-        raise ValidationError("n_list must not be empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValidationError("n_list must be strictly increasing")
-    settings = settings or MinimizeSettings()
-    entries: List[TraceEntry] = []
-    previous: Optional[Configuration] = None
-    for n in n_list:
-        run_settings = settings
-        if previous is not None and previous.n >= 2:
-            from .measures import AtomicMeasure
-
-            cloud = AtomicMeasure(previous.points)
-            run_settings = replace(settings, init=InitSpec(kind="quantizer-seeded",
-                                                           measure=cloud))
-        result = minimize(kernel, n, dim, run_settings)
-        entries.append(TraceEntry(n=n, energy=result.energy,
-                                  grad_norm=result.grad_norm, diameter=result.diameter))
-        previous = result.config
-    diameters = [e.diameter for e in entries if e.diameter > 0]
-    drift = bool(len(diameters) >= 2 and diameters[-1] > 3.0 * diameters[0]
-                 and all(b > a for a, b in zip(diameters, diameters[1:])))
-    return EnergyTrace(entries=entries, outward_drift=drift)
+                          converged=converged, history=history, repair_events=repair_deltas)

@@ -143,7 +143,7 @@ def select_representatives(cells: List[Restriction], kernel: Optional[Kernel] = 
     grid, pair = np.empty((2 * step, m + step)), np.empty((2, m - 1))
 
     def fill(d, i, j):  # a block's kernel values, into its rows of the chunk's grid
-        grid[i:i + len(d), :d.shape[1]] = kernel.radial(d)
+        kernel.radial(d, out=grid[i:i + len(d), :d.shape[1]])
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for s in list(range(0, m, step)) * SWEEPS:

@@ -326,9 +326,9 @@ class TestDiagnose:
         evaluated = []
 
         class Counting(PowerLawKernel):
-            def radial(self, r):
+            def radial(self, r, out=None):
                 evaluated.append(np.size(r))
-                return super().radial(r)
+                return super().radial(r, out)
 
         monkeypatch.setattr("rieszmin.cli.kernel_from_config",
                             lambda block, base_dir: Counting(1, 2, dim=2))

@@ -223,9 +223,9 @@ class TestWorkerThreads:
             seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
 
         class Recording(PowerLawKernel):
-            def radial(self, r):
+            def radial(self, r, out=None):
                 note()
-                return super().radial(r)
+                return super().radial(r, out)
 
         real_slice = diagnostics._w1_truncated_1d
 
@@ -250,8 +250,8 @@ class TestBlockBuffers:
     @pytest.mark.parametrize("grad", [False, True])
     def test_a_warm_pass_allocates_about_one_block(self, grad):
         """Once this thread has run a pass, a pass at n=200 (one block)
-        allocates little besides the kernel's (200, 200) result; a gradient
-        pass frees it before its derivative's."""
+        allocates less than half a (200, 200) block: the kernel's values and a
+        gradient pass's derivative go into the block's coordinate scratch."""
         pts = np.random.default_rng(0).normal(size=(200, 2))
 
         def warm_pass():
@@ -264,12 +264,12 @@ class TestBlockBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * pts.shape[0]**2 * 8
+        assert peak < 0.5 * pts.shape[0]**2 * 8
 
     def test_a_warm_triangle_pass_allocates_one_block_and_the_partials(self):
         """A one-family energy pass at n=1100 visits 15 tiles over 5 tile
-        rows; warm, it allocates about the kernel's result for one tile and
-        the (5, 1100) partials."""
+        rows; warm, it allocates less than one tile's block and the (5, 1100)
+        partials."""
         pts = np.random.default_rng(1).normal(size=(1100, 2))
         energy._potentials(pts, PL2)
         tracemalloc.start()
@@ -376,6 +376,20 @@ class TestContinuumMonteCarlo:
         a = continuum_energy_mc(mu, PL1, 10_000, seed=9)
         b = continuum_energy_mc(mu, PL1, 10_000, seed=9)
         assert a.estimate == b.estimate
+
+    def test_trace_target_allocates_at_most_48_bytes_a_sample(self):
+        """trace's default target, 200k pairs on the unit square: the two draws (16 bytes a
+        sample each) and one temporary of the second draw's quantile, since x - y, its
+        squares and the kernel values are formed in the first draw's array (80 bytes before)."""
+        mu, count = UniformBoxMeasure([0, 0], [1, 1]), 200_000
+        continuum_energy_mc(mu, PL2, 1000, seed=0)
+        tracemalloc.start()
+        try:
+            continuum_energy_mc(mu, PL2, count, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * count
 
 
 class TestContinuumQuadrature1D:

@@ -4,7 +4,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
 
 from rieszmin import (
     AtomicMeasure,
@@ -25,7 +24,6 @@ from rieszmin.minimizer import (
     MinimizeSettings,
     _descend,
     _lbfgs_direction,
-    energy_trace,
     minimize,
     repair_outliers,
 )
@@ -184,23 +182,6 @@ class TestSeededStart:
                                     init=InitSpec(kind="quantizer-seeded", measure=cloud))
         assert minimize(PL2, 8, 2, settings).restarts_used == 2
 
-    def test_no_restart_breaks_down_along_a_trace(self):
-        """Each n after the first quantizes the previous minimizer's fewer points."""
-        spy, runs = descend_spy()
-        with mock.patch.object(minimizer, "_descend", spy):
-            energy_trace(PL2, 2, [8, 12, 20],
-                         MinimizeSettings(restarts=3, max_iters=200, seed=1))
-        assert len(runs) == 9 and all(outcome is not None for _, outcome in runs)
-
-
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    @pytest.mark.parametrize("kernel", [PL2, MorseKernel(4, 1, 0.5, 2, dim=2),
-                                        PowerLawKernel(-0.5, 2, dim=2)])
-    def test_result_diameter_is_the_support_diameter(self, n, kernel):
-        """The final energy pass's diameter, which energy_trace reads."""
-        res = minimize(kernel, n, 2, MinimizeSettings(restarts=2, seed=3, max_iters=100))
-        assert res.diameter == pdist(res.config.points).max(initial=0.0)
-
     @pytest.mark.parametrize("grad_tol", [0.0, -1.0, math.nan, math.inf])
     def test_grad_tol_must_be_positive_and_finite(self, grad_tol):
         with pytest.raises(ValidationError, match=r"grad_tol in \(0, inf\)"):
@@ -215,13 +196,13 @@ class TestSearchDirection:
         calls = Counter()
 
         class Counting(PowerLawKernel):  # counts the evaluations on distance blocks
-            def radial(self, r):
+            def radial(self, r, out=None):
                 calls["radial"] += np.ndim(r) == 2
-                return super().radial(r)
+                return super().radial(r, out)
 
-            def radial_prime(self, r):
+            def radial_prime(self, r, out=None):
                 calls["radial_prime"] += np.ndim(r) == 2
-                return super().radial_prime(r)
+                return super().radial_prime(r, out)
 
         res = minimize(Counting(1, 2, dim=2), 50, 2,
                        MinimizeSettings(restarts=2, seed=5, grad_tol=1e-7, repair=False))
@@ -330,33 +311,3 @@ class TestRepair:
             assert len(res.repair_events) == 1 and res.repair_events[0] < 0
         else:
             assert res.repair_events == []
-
-
-class TestEnergyTrace:
-    def test_ground_states_do_not_increase(self):
-        k = PowerLawKernel(1, 2, dim=1)
-        trace = energy_trace(k, 1, [2, 4, 8],
-                             MinimizeSettings(restarts=8, seed=13))
-        energies = [e.energy for e in trace.entries]
-        assert all(b <= a + 1e-6 for a, b in zip(energies, energies[1:]))
-        assert energies[0] == pytest.approx(-0.25, abs=1e-8)
-
-    def test_zero_kernel_trace(self):
-        trace = energy_trace(ZERO_KERNEL, 2, [2, 3],
-                             MinimizeSettings(restarts=2, seed=14, max_iters=5))
-        assert all(e.energy == 0.0 for e in trace.entries)
-
-    def test_rejects_unsorted_n_list(self):
-        from rieszmin.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            energy_trace(PL2, 2, [4, 2])
-
-    def test_morse_diameters_stay_bounded(self):
-        k = MorseKernel(4, 1, 0.5, 2, dim=2)
-        trace = energy_trace(k, 2, [20, 40],
-                             MinimizeSettings(restarts=2, seed=15, max_iters=600,
-                                              grad_tol=1e-6))
-        diams = [e.diameter for e in trace.entries]
-        assert all(0 < d < 50 for d in diams)
-        assert not trace.outward_drift

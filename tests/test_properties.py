@@ -13,13 +13,16 @@ draws, and the CLI reads a minimize block into the settings
 the dataclasses build from the same values.  Hybrid selection only lowers its
 first draw, inside the cells, and grid surrogates draw no coincident points.
 The in-place kernel profiles give the bits of their plain numpy expressions,
-kept here as references."""
+kept here as references, and so do kernels writing into an out= buffer, the
+Monte-Carlo energy, product sampling and the BL slices that fill buffers they
+already hold, and the median and mid-quantile taken from one partition."""
 
 import functools
 import itertools
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace as dataclasses_replace
 from unittest import mock
 
 import numpy as np
@@ -37,6 +40,7 @@ from rieszmin import (
     MorseKernel,
     PowerLawKernel,
     ProductQuantileMeasure,
+    TabulatedKernel,
     TruncatedKernel,
     UniformBallMeasure,
     UniformBoxMeasure,
@@ -46,10 +50,11 @@ from rieszmin import (
 )
 from rieszmin import energy
 from rieszmin.cli import _minimize_settings
-from rieszmin.diagnostics import ClusterInfo, ClusterReport, cluster_classify
+from rieszmin.diagnostics import ClusterInfo, ClusterReport, _w1_truncated_1d, cluster_classify
 from rieszmin.energy import _pair_pass, pair_interaction_sum, potential_grid
 from rieszmin.kernels import _FAST_POWERS
 from rieszmin.measures import ProductRestriction, Restriction, _full_rect
+from rieszmin.minimizer import _median
 from rieszmin.quantizer import partition, select_representatives, side_count
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None)
@@ -773,3 +778,116 @@ def test_morse_and_truncated_profiles_are_the_plain_expressions(c1, c2, l1, l2, 
             radial, prime = reference(k, r)
             assert np.array_equal(bits(k.radial(r)), bits(radial))
             assert np.array_equal(bits(k.radial_prime(r)), bits(prime))
+
+
+# -- out= buffers and in-place temporaries against their allocating forms ------
+
+
+OUT_KERNELS = {
+    "power_law": PowerLawKernel(1, 2),
+    "riesz": PowerLawKernel(-0.5, 2),  # singular at 0, two powers
+    "morse": MorseKernel(4, 1, 0.5, 2),
+    "truncated": TruncatedKernel(PowerLawKernel(-1, 2), 1.0),
+    "tabulated": TabulatedKernel(radii=(0.0, 0.5, 1.0, 2.0), values=(math.inf, 1.0, -0.2, 0.3)),
+}
+
+
+@SETTINGS
+@given(kernel=st.sampled_from(sorted(OUT_KERNELS)), r=radii, width=st.integers(0, 3))
+@example(kernel="riesz", r=np.array(EXTREME_RADII), width=2)
+@example(kernel="tabulated", r=np.array([0.0, 0.25, 3.0]), width=1)
+def test_kernel_out_is_returned_with_the_bits_of_a_new_array(kernel, r, width):
+    """Into a contiguous out and into a strided one (a column of a wider grid, as
+    the greedy sweep's last, narrower chunk writes), r = 0 under singular kernels too."""
+    k = OUT_KERNELS[kernel]
+    with np.errstate(all="ignore"):
+        for name in ("radial", "radial_prime"):
+            fresh = getattr(k, name)(r)
+            for out in (np.full(len(r), np.nan), np.full((len(r), 1 + width), np.nan)[:, 0]):
+                assert getattr(k, name)(r, out=out) is out
+                assert np.array_equal(bits(out), bits(fresh))
+
+
+def sample_by_columns(mu, count, rng):
+    """ProductQuantileMeasure.sample's reference: one uniform draw, each axis's quantile
+    of its column, the columns stacked."""
+    u = rng.uniform(0.0, 1.0, size=(count, mu.dim))
+    return np.column_stack([np.asarray(q(u[:, k]), dtype=float)
+                            for k, q in enumerate(mu.quantiles)])
+
+
+@SETTINGS
+@given(dim=st.integers(1, 9), count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       marginal=st.sampled_from(["uniform", "tan", "log1p"]))
+def test_product_sample_is_the_stacked_columns(dim, count, seed, marginal):
+    mu = (UniformBoxMeasure(np.zeros(dim), np.arange(1.0, dim + 1.0)) if marginal == "uniform"
+          else ProductQuantileMeasure([MARGINALS[marginal]] * dim))
+    got = mu.sample(count, np.random.default_rng(seed))
+    reference = sample_by_columns(mu, count, np.random.default_rng(seed))
+    assert got.shape == reference.shape and np.array_equal(bits(got), bits(reference))
+
+
+@functools.lru_cache(maxsize=None)
+def mc_measure(kind, dim):
+    if kind == "box":
+        return UniformBoxMeasure(np.zeros(dim), np.ones(dim))
+    if kind == "ball":
+        return UniformBallMeasure(np.zeros(dim), 1.5, cells_per_axis=8)
+    if kind == "density":
+        return DensityBoxMeasure(lambda x: np.exp(-x.sum(axis=1)), np.zeros(dim), np.ones(dim),
+                                 cells_per_axis=8, normalize=True)
+    return AtomicMeasure(np.random.default_rng(dim).normal(size=(7, dim)))
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["box", "ball", "density", "atoms"]), dim=st.integers(1, 9),
+       kernel=st.sampled_from(["power_law", "riesz", "morse"]), count=st.integers(8, 3000),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="atoms", dim=2, kernel="riesz", count=500, seed=0)  # coincident draws: inf
+@example(kind="box", dim=9, kernel="morse", count=1000, seed=1)  # norm sums 9 squares pairwise
+@example(kind="ball", dim=2, kernel="riesz", count=1000, seed=2)
+@example(kind="density", dim=3, kernel="power_law", count=1000, seed=3)
+def test_monte_carlo_energy_is_the_norm_formula(kind, dim, kernel, count, seed):
+    """The kernel at np.linalg.norm(x - y, axis=1) of two draws, as continuum_energy_mc
+    read it before it formed x - y, its squares and the kernel values in x's array."""
+    assume(kind in ("box", "atoms") or dim <= 3)  # grid surrogates grow like cells^dim
+    mu = mc_measure(kind, dim)
+    k = dataclasses_replace(OUT_KERNELS[kernel], dim=dim)
+    got = energy.continuum_energy_mc(mu, k, count, seed)
+    rng = np.random.default_rng(seed)
+    draw = functools.partial(sample_by_columns, mu) if kind == "box" else mu.sample
+    with np.errstate(all="ignore"):
+        vals = k.radial(np.linalg.norm(draw(count, rng) - draw(count, rng), axis=1))
+    if np.isfinite(vals).all():
+        assert bits(got.estimate) == bits(vals.mean())
+        assert bits(got.std_error) == bits(vals.std(ddof=1) / math.sqrt(count))
+    else:
+        assert not got.reliable and got.estimate == math.inf
+
+
+def w1_reference(x1, w1, x2, w2):
+    """_w1_truncated_1d before it reused its concatenation buffers."""
+    xs = np.concatenate([x1, x2])
+    signs = np.concatenate([w1, -w2])
+    order = np.argsort(xs, kind="stable")
+    return min(float(np.sum(np.abs(np.cumsum(signs[order])[:-1]) * np.diff(xs[order]))), 2.0)
+
+
+atoms_1d = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1e3, 1e3),
+                              st.floats(0.0, 1.0)), min_size=1, max_size=60)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(a=atoms_1d, b=atoms_1d)
+def test_w1_slice_is_the_allocating_formula(a, b):
+    (x1, w1), (x2, w2) = (np.array(side, dtype=float).T for side in (a, b))
+    assert bits(_w1_truncated_1d(x1, w1, x2, w2)) == bits(w1_reference(x1, w1, x2, w2))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(0.0, 8e307),
+                       min_size=1, max_size=40).map(np.array))
+def test_median_and_mid_quantile_are_numpys(values):
+    """On distances, finite and nonnegative, with ties (and sums of two that stay finite)."""
+    assert bits(_median(values)) == bits(np.median(values))
+    assert bits(_median(values, quantile=True)) == bits(np.quantile(values, 0.5))
