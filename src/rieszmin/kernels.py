@@ -203,7 +203,7 @@ class MorseKernel(Kernel):
         d0 = self.c1 / self.l1 - self.c2 / self.l2
         if d0 <= 0.0:
             return None
-        if self.l1 == self.l2:
+        if 1.0 / self.l1 == 1.0 / self.l2:  # l1 == l2, or scales whose rates round equal
             return self.l1  # derivative keeps one sign; any finite scale works
         r_star = math.log((self.c1 * self.l2) / (self.c2 * self.l1)) / (1.0 / self.l1 - 1.0 / self.l2)
         if r_star > 0.0 and math.isfinite(r_star):

@@ -168,6 +168,11 @@ class TestConstruction:
         assert r == pytest.approx(math.log(16.0) / 1.5)
         assert abs(float(k.radial_prime(r))) < 1e-12
 
+    def test_morse_scales_with_equal_rounded_rates(self):
+        # 1/1000 == 1/999.9999999999999 in floats: no crossing to solve for
+        k = MorseKernel(2, 1, 1000.0, 999.9999999999999, dim=2)
+        assert k.near_origin_radius == 1000.0
+
 
 class TestAssumptionChecks:
     def test_power_law_passes(self):
